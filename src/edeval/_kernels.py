@@ -1,25 +1,15 @@
 """Numeric kernels for edit-distance alignment and greedy block-shift search.
 
-Tokens are interned to int32 ids before they reach this module; everything
-here is plain array arithmetic so it can be JIT-compiled.  When numba is
-unavailable the same code runs as ordinary (slow) Python.
+Tokens are interned to int32 ids before they reach this module; the
+kernels compare ids only, never the strings behind them.
 """
 
 import numpy as np
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - exercised only without numba
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap
 
 MAX_SHIFT_SIZE = 10   # longest block that may move (tercom default)
 MAX_SHIFT_DIST = 50   # farthest a block may move (tercom default)
 
 
-@njit(cache=True, nogil=True)
 def _fill_dp(h, r, D):
     """Unit-cost edit-distance table of h vs r; returns the distance."""
     n = h.shape[0]
@@ -41,7 +31,6 @@ def _fill_dp(h, r, D):
     return D[n, m]
 
 
-@njit(cache=True, nogil=True)
 def _matched_flags(h, r, D, matched):
     """Mark hypothesis positions aligned as exact key matches.
 
@@ -66,7 +55,6 @@ def _matched_flags(h, r, D, matched):
             i -= 1
 
 
-@njit(cache=True, nogil=True)
 def _lev_bounded(a, n, b, bound, row0, row1):
     """Edit distance of a[:n] vs b, early-abandoned once it cannot beat bound.
 
@@ -100,7 +88,6 @@ def _lev_bounded(a, n, b, bound, row0, row1):
     return row0[m]
 
 
-@njit(cache=True, nogil=True)
 def greedy_shift_ter(h, r):
     """Greedy-shift TER core: returns (edits, shifts, order, moved).
 
@@ -223,9 +210,3 @@ def greedy_shift_ter(h, r):
         cur_ed = _fill_dp(cur, r, D)
     return cur_ed + shifts, shifts, order, moved
 
-
-def warmup() -> None:
-    """Trigger JIT compilation once (cached on disk afterwards)."""
-    a = np.array([0, 1, 2, 3], dtype=np.int32)
-    b = np.array([0, 2, 1, 3], dtype=np.int32)
-    greedy_shift_ter(a, b)

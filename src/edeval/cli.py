@@ -119,13 +119,15 @@ def cmd_report(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.metric == "bleu" and args.lemma:
+        args.parser.error("--lemma applies to --metric ter only")
+    if args.trials < 1:
+        args.parser.error("--trials must be >= 1")
     annotated = args.lemma
     sys_a = load_annotated(args.sys_a) if annotated else load_plain(args.sys_a)
     sys_b = load_annotated(args.sys_b) if annotated else load_plain(args.sys_b)
     refs = ReferenceSet(tuple(_load_docs(args.ref, annotated=annotated)))
     if args.metric == "bleu":
-        if args.lemma:
-            args.parser.error("--lemma applies to --metric ter only")
         stats_a = corpus_stats(sys_a, refs, ignore_case=args.ignore_case)
         stats_b = corpus_stats(sys_b, refs, ignore_case=args.ignore_case)
     else:

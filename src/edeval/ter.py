@@ -12,8 +12,7 @@ edits (each move costs one edit), until no move helps.  See
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -39,9 +38,6 @@ __all__ = [
     "corpus_ter_segment_average",
     "ter_corpus_score",
 ]
-
-THREADS_ENV_VAR = "EDEVAL_THREADS"
-
 
 class MatchMode(Enum):
     SURFACE = "surface"
@@ -239,6 +235,18 @@ def ter_single(
     return TerScore(edits, denominator), script
 
 
+def _edit_lower_bound(hyp_keys: list[str], ref_keys: list[str]) -> int:
+    """Lower bound on the greedy-shift edits of hyp_keys against ref_keys.
+
+    Shifts only permute the hypothesis, and a unit-cost alignment of any
+    permutation needs at least max(n, m) minus its matches edits, while
+    matches cannot exceed the multiset intersection of the keys.  The
+    greedy result (final distance plus one per shift) is never below that.
+    """
+    common = sum((Counter(hyp_keys) & Counter(ref_keys)).values())
+    return max(len(hyp_keys), len(ref_keys)) - common
+
+
 def mter(
     hyp: Segment,
     refs: Sequence[Segment],
@@ -251,30 +259,41 @@ def mter(
     The denominator is the average reference length (1 if that is zero).
     Returns the score, the edit script against the chosen reference, and
     the chosen reference index (lowest index on ties).
+
+    References are searched in ascending (lower bound, index) order, see
+    :func:`_edit_lower_bound`; the search stops at the first reference whose
+    (bound, index) is not below the best (edits, index) found so far, since
+    neither it nor any later one can then win.  The result is exactly that
+    of scoring every reference.
     """
     if not refs:
         raise ValueError("mter needs at least one reference segment")
+    # All keys are extracted up front so that an unannotated reference is
+    # reported even when the search would never reach it.
+    hyp_keys = _segment_keys(hyp, mode, ignore_case, "hypothesis")
+    ref_keys = [_segment_keys(ref, mode, ignore_case, "reference") for ref in refs]
+    if len(refs) == 1:
+        candidates = [(0, 0)]
+    else:
+        candidates = sorted(
+            (_edit_lower_bound(hyp_keys, keys), k) for k, keys in enumerate(ref_keys)
+        )
     best_k = -1
     best = None
-    for k, ref in enumerate(refs):
-        result = _run_kernel(hyp, ref, mode, ignore_case)
-        if best is None or result[0] < best[0]:
-            best = result
+    for bound, k in candidates:
+        if best is not None and (bound, k) >= (best[0], best_k):
+            break
+        h_ids, r_ids = _encode(hyp_keys, ref_keys[k])
+        edits, shifts, order, moved = _kernels.greedy_shift_ter(h_ids, r_ids)
+        if best is None or (edits, k) < (best[0], best_k):
+            best = (int(edits), int(shifts), order, moved)
             best_k = k
-    edits, shifts, order, moved, hyp_keys, ref_keys = best
-    ops = _build_ops(hyp, refs[best_k], hyp_keys, ref_keys, order, moved)
+    edits, shifts, order, moved = best
+    ops = _build_ops(hyp, refs[best_k], hyp_keys, ref_keys[best_k], order, moved)
     script = EditScript(ops=ops, shift_count=shifts, segment_id=hyp.id, mode=mode)
     mean_len = Fraction(sum(len(r.tokens) for r in refs), len(refs))
     denominator = mean_len if mean_len > 0 else Fraction(1)
     return TerScore(edits, denominator), script, best_k
-
-
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def corpus_ter_detailed(
@@ -285,28 +304,20 @@ def corpus_ter_detailed(
     ignore_case: bool = False,
     threads: int | None = None,
 ) -> list[SegmentTer]:
-    """Score every segment with :func:`mter`, optionally across threads.
+    """Score every segment with :func:`mter`, in segment-id order.
 
-    Results are ordered by segment id regardless of scheduling, so corpus
-    aggregation downstream is deterministic.
+    ``threads`` (and the ``EDEVAL_THREADS`` environment variable) is
+    accepted for compatibility and ignored: the kernel is pure Python and
+    holds the GIL, so worker threads could only add overhead.
     """
     if len(hyps) != len(refs):
         raise ShapeError(
             f"hypothesis has {len(hyps)} segments but references have {len(refs)}"
         )
-    threads = _default_threads() if threads is None else max(1, threads)
-
-    def one(i: int) -> SegmentTer:
-        score, script, chosen = mter(
-            hyps.segments[i], refs.segment_refs(i), mode, ignore_case=ignore_case
-        )
-        return SegmentTer(score, script, chosen)
-
-    indices = range(len(hyps))
-    if threads == 1 or len(hyps) < 2:
-        return [one(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, indices))
+    return [
+        SegmentTer(*mter(hyp, refs.segment_refs(i), mode, ignore_case=ignore_case))
+        for i, hyp in enumerate(hyps.segments)
+    ]
 
 
 def ter_corpus_score(stats: Sequence[tuple[int, Fraction]]) -> TerScore:

@@ -274,6 +274,25 @@ def test_compare_deterministic_across_runs_and_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("flags", [
+    ["--metric", "bleu", "--lemma"],
+    ["--metric", "ter", "--trials", "0"],
+    ["--metric", "bleu", "--trials", "-3"],
+])
+def test_compare_flag_errors_exit_before_reading_files(flags, tmp_path, capsys, monkeypatch):
+    def refuse(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr("edeval.cli.load_plain", refuse)
+    monkeypatch.setattr("edeval.cli.load_annotated", refuse)
+    missing = str(tmp_path / "missing.txt")
+    code, _, err = run_cli(
+        ["compare", *flags, "--sys-a", missing, "--sys-b", missing, "--ref", missing], capsys
+    )
+    assert code == 2
+    assert "missing.txt" not in err
+
+
 # -- subset -------------------------------------------------------------------------
 
 def test_subset_writes_sorted_pairs(tmp_path, capsys):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edeval.corpus import ReferenceSet
+from edeval import _kernels
+from edeval.corpus import ReferenceSet, Segment
 from edeval.errors import AnnotationError, ShapeError
 from edeval.ter import (
     EditKind,
@@ -17,8 +18,17 @@ from edeval.ter import (
     ter_corpus_score,
     ter_single,
 )
+from edeval.ter import _edit_lower_bound
 
-from helpers import AnnotatedVocab, ann_seg, plain_doc, random_annotated_pair, seg
+from helpers import (
+    AnnotatedVocab,
+    ann_seg,
+    perturb,
+    plain_doc,
+    random_annotated_pair,
+    random_words,
+    seg,
+)
 from oracles import greedy_shift_ter_oracle, simple_edit_distance
 
 words_st = st.lists(st.sampled_from("abcdef"), max_size=8)
@@ -242,6 +252,93 @@ def test_mter_min_law_fuzz():
         total_len = sum(len(r) for r in refs)
         expected = Fraction(total_len, len(refs)) if total_len else Fraction(1)
         assert score.denominator == expected
+
+
+# -- mter reference pruning ------------------------------------------------------
+
+def keys(segment, mode, ignore_case=False):
+    out = [t.lemma if mode is MatchMode.LEMMA else t.surface for t in segment.tokens]
+    return [k.lower() for k in out] if ignore_case else out
+
+
+def pruning_cases():
+    """Seeded (hyp, refs, mode, ignore_case) cases in both match modes."""
+    rng = random.Random(21)
+    vocab = AnnotatedVocab()
+    cases = []
+    for i in range(120):
+        words = random_words(rng, rng.randrange(0, 12), vocab=8)
+        refs = [perturb(rng, words, vocab=8) for _ in range(rng.randrange(2, 10))]
+        if rng.random() < 0.3:  # exact duplicates: ties between references
+            refs.insert(rng.randrange(len(refs) + 1), refs[rng.randrange(len(refs))])
+        if i % 2:  # lemmas are the words; surfaces are random inflections
+            segments = [Segment(0, tuple(vocab.token(rng, w) for w in ws))
+                        for ws in [words, *refs]]
+            mode = MatchMode.LEMMA
+        else:
+            segments = [seg([w.upper() if rng.random() < 0.2 else w for w in ws])
+                        for ws in [words, *refs]]
+            mode = MatchMode.SURFACE
+        cases.append((segments[0], segments[1:], mode, i % 4 == 0))
+    # hand-made: bound order reverses index order, and a three-way tie
+    cases.append((seg("a b c d".split()), [seg("x y z".split()), seg("a b c".split()),
+                                           seg("a b c d".split())], MatchMode.SURFACE, False))
+    cases.append((seg("a b".split()), [seg("a c".split()), seg("c b".split()),
+                                       seg("a b c".split())], MatchMode.SURFACE, False))
+    return cases
+
+
+def test_mter_pruning_matches_brute_force():
+    reordered = ties = 0
+    for hyp, refs, mode, ignore_case in pruning_cases():
+        score, script, chosen = mter(hyp, refs, mode, ignore_case=ignore_case)
+        # brute force: score every reference, keep the lowest index among the minima
+        singles = [ter_single(hyp, r, mode, ignore_case=ignore_case) for r in refs]
+        edits = [s.edits for s, _ in singles]
+        best_k = edits.index(min(edits))
+        total = sum(len(r.tokens) for r in refs)
+        denominator = Fraction(total, len(refs)) if total else Fraction(1)
+        assert (score.edits, score.denominator, chosen) == (edits[best_k], denominator, best_k)
+        assert script == singles[best_k][1]
+        bounds = [_edit_lower_bound(keys(hyp, mode, ignore_case), keys(r, mode, ignore_case))
+                  for r in refs]
+        reordered += bounds != sorted(bounds)
+        ties += edits.count(min(edits)) > 1
+    assert reordered > 10 and ties > 10
+
+
+@given(words_st, words_st)
+@settings(max_examples=300)
+def test_edit_lower_bound_below_greedy_oracle(hyp_words, ref_words):
+    bound = _edit_lower_bound(hyp_words, ref_words)
+    assert 0 <= bound <= greedy_shift_ter_oracle(hyp_words, ref_words)[0]
+
+
+def test_mter_unannotated_pruned_reference_still_rejected():
+    hyp = ann_seg([("a", "a", "N"), ("b", "b", "N")], seg_id=4)
+    exact = ann_seg([("a", "a", "N"), ("b", "b", "N")])
+    # reference 0 needs no edits, so reference 1 is never scored
+    with pytest.raises(AnnotationError, match=r"reference segment 0, token 0 \('x'\)"):
+        mter(hyp, [exact, seg(["x", "y"])], MatchMode.LEMMA)
+
+
+def test_mter_pruning_skips_kernel_runs(monkeypatch):
+    calls = []
+
+    def counting(h, r):
+        calls.append(1)
+        return greedy(h, r)
+
+    greedy = _kernels.greedy_shift_ter
+    monkeypatch.setattr(_kernels, "greedy_shift_ter", counting)
+    rng = random.Random(17)
+    n_segments, n_refs = 40, 9
+    lines = [random_words(rng, rng.randrange(8, 16)) for _ in range(n_segments)]
+    refs = ReferenceSet(tuple(
+        plain_doc([perturb(rng, words) for words in lines]) for _ in range(n_refs)
+    ))
+    corpus_ter_detailed(plain_doc(lines), refs)
+    assert len(calls) < n_segments * n_refs // 2
 
 
 # -- corpus --------------------------------------------------------------------
