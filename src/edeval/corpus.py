@@ -9,12 +9,16 @@ Two on-disk formats are understood:
   empty block between two separators; a single dangling blank line at the
   end of the file is tolerated and ignored.
 
+A file that starts with a UTF-8 byte order mark, or an annotated file
+with a carriage return in any line, is rejected with a ``ParseError``.
+
 All comparisons throughout the toolkit operate on tokenized sequences;
 no tokenization or detokenization is ever applied here.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,7 +57,8 @@ class Token:
     pos: str | None = None
 
     def __post_init__(self):
-        if not self.surface or any(c.isspace() for c in self.surface):
+        # str.split() cuts at exactly the characters str.isspace() accepts.
+        if self.surface.split() != [self.surface]:
             raise ValueError(f"invalid token surface: {self.surface!r}")
         for name, value in (("lemma", self.lemma), ("pos", self.pos)):
             if value is not None and (value == "" or "\t" in value or "\n" in value):
@@ -129,19 +134,34 @@ class ReferenceSet:
                 raise AnnotationError(f"reference document {k} is not lemma/POS annotated")
 
 
+class _Interner(dict):
+    """Maps a key to one shared value, made by ``make(key)`` on first use."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 def parse_plain(text: str) -> Document:
     """Parse the plain format: one segment per line, whitespace-split tokens.
 
     Empty lines become empty segments; a trailing newline after the last
     line does not create one.  Consecutive separators inside a line are
-    collapsed (empty fields are dropped).
+    collapsed (empty fields are dropped).  Equal words share one ``Token``.
     """
     if text == "":
         return Document(())
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    return Document.from_tokens([Token(w) for w in line.split()] for line in lines)
+    token_of = _Interner(Token).__getitem__
+    return Document.from_tokens(map(token_of, line.split()) for line in lines)
 
 
 def serialize_plain(doc: Document) -> str:
@@ -156,6 +176,11 @@ def _parse_token_line(line: str, line_no: int, source: str | None) -> Token:
             "unexpected blank line (segments are separated by exactly one blank line)",
             line=line_no, source=source,
         )
+    if "\r" in line:
+        raise ParseError(
+            "carriage return in line (CRLF line endings are not supported)",
+            line=line_no, source=source,
+        )
     fields = line.split("\t")
     if len(fields) != 3:
         raise ParseError(
@@ -166,7 +191,7 @@ def _parse_token_line(line: str, line_no: int, source: str | None) -> Token:
     for name, value in (("surface", surface), ("lemma", lemma), ("pos", pos)):
         if value == "":
             raise ParseError(f"empty {name} field", line=line_no, source=source)
-    if any(c.isspace() for c in surface):
+    if surface.split() != [surface]:
         raise ParseError(f"surface contains whitespace: {surface!r}", line=line_no, source=source)
     return Token(surface, lemma, pos)
 
@@ -175,7 +200,8 @@ def parse_annotated(text: str, source: str | None = None) -> Document:
     """Parse the annotated format (``surface<TAB>lemma<TAB>pos`` per line).
 
     Exact inverse of :func:`serialize_annotated`; see the module docstring
-    for the shape of the format.
+    for the shape of the format.  Equal lines share one ``Token``, which is
+    validated once, so an error names the first line that carries it.
     """
     if text == "":
         return Document(())
@@ -186,6 +212,7 @@ def parse_annotated(text: str, source: str | None = None) -> Document:
         text = text[:-1]
     core = text[:-1] if text.endswith("\n") else text
     token_lists: list[list[Token]] = []
+    seen: dict[str, Token] = {}
     line_no = 1
     for block in core.split("\n\n"):
         if block == "":
@@ -193,9 +220,13 @@ def parse_annotated(text: str, source: str | None = None) -> Document:
             line_no += 2
             continue
         lines = block.split("\n")
-        token_lists.append(
-            [_parse_token_line(ln, line_no + j, source) for j, ln in enumerate(lines)]
-        )
+        tokens = []
+        for j, ln in enumerate(lines):
+            tok = seen.get(ln)
+            if tok is None:
+                tok = seen[ln] = _parse_token_line(ln, line_no + j, source)
+            tokens.append(tok)
+        token_lists.append(tokens)
         line_no += len(lines) + 1
     return Document.from_tokens(token_lists)
 
@@ -214,6 +245,9 @@ def serialize_annotated(doc: Document) -> str:
 
 def _read_utf8(path: str | Path) -> str:
     data = Path(path).read_bytes()
+    if data.startswith(codecs.BOM_UTF8):
+        raise ParseError("UTF-8 byte order mark at the start of the file",
+                         line=1, source=str(path))
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edeval.bleu import (
     bleu_corpus_score,
@@ -14,7 +16,7 @@ from edeval.bleu import (
 from edeval.corpus import ReferenceSet
 from edeval.errors import ShapeError
 
-from helpers import plain_doc, seg
+from helpers import perturb, plain_doc, seg
 
 
 def test_identity_corpus_is_100():
@@ -154,3 +156,61 @@ def test_ignore_case():
     refs = ReferenceSet.of(plain_doc([["the", "cat", "sat", "down"]]))
     assert corpus_bleu(hyps, refs).score == 0.0
     assert corpus_bleu(hyps, refs, ignore_case=True).score == 1.0
+
+
+# -- the corpus path against the per-segment definition ------------------------
+
+# Hypotheses draw from a small mixed-case alphabet, so n-grams repeat and case
+# folding matters; references add words that no hypothesis contains.
+hyp_word_st = st.sampled_from(["a", "A", "b", "B", "c"])
+ref_word_st = st.sampled_from(["a", "A", "b", "B", "c", "x", "X", "y"])
+
+
+@st.composite
+def bleu_corpus_st(draw):
+    n_segs = draw(st.integers(1, 5))
+    n_refs = draw(st.integers(1, 4))
+    lines = st.lists(hyp_word_st, max_size=7)
+    hyps = draw(st.lists(lines, min_size=n_segs, max_size=n_segs))
+    ref_lines = st.lists(ref_word_st, max_size=7)
+    refs = [draw(st.lists(ref_lines, min_size=n_segs, max_size=n_segs))
+            for _ in range(n_refs)]
+    return hyps, refs
+
+
+def segment_by_segment(hyps, refset, ignore_case):
+    return [
+        segment_bleu_stats(h, refset.segment_refs(i), ignore_case=ignore_case)
+        for i, h in enumerate(hyps)
+    ]
+
+
+@given(bleu_corpus_st(), st.booleans())
+@settings(max_examples=400, deadline=None)
+@example(([[], ["a"], ["a", "b"], ["a", "a", "a"]],
+          [[["y"], ["x", "a"], ["a"], ["a", "a", "b"]], [[], ["x"], ["a", "b", "c"], ["a"]]]),
+         False)
+@example(([["A", "b", "a", "B"]], [[["a", "B"]], [["a", "b", "A", "b", "x", "y"]]]), True)
+def test_corpus_stats_equal_segment_definition(corpus, ignore_case):
+    lines, ref_lines = corpus
+    hyps = plain_doc(lines)
+    refset = ReferenceSet(tuple(plain_doc(r) for r in ref_lines))
+    expected = segment_by_segment(hyps, refset, ignore_case)
+    assert corpus_stats(hyps, refset, ignore_case=ignore_case) == expected
+    assert corpus_bleu(hyps, refset, ignore_case=ignore_case) == bleu_corpus_score(
+        sum_stats(expected))
+
+
+def test_corpus_stats_large_vocabulary_and_long_segment():
+    # Over 70 000 distinct words: n-gram ids must stay exact in int64.  The
+    # first segment alone is longer than one block of the corpus path.
+    rng = random.Random(11)
+    lengths = [9000] + [rng.randrange(0, 40) for _ in range(4000)]
+    lines = [[f"v{rng.randrange(1_000_000)}" for _ in range(n)] for n in lengths]
+    refs = [[perturb(rng, words, vocab=1_000_000) for words in lines] for _ in range(2)]
+    assert len({w for doc in (lines, *refs) for words in doc for w in words}) >= 70_000
+    hyps = plain_doc(lines)
+    refset = ReferenceSet(tuple(plain_doc(r) for r in refs))
+    got = corpus_stats(hyps, refset)
+    assert got == segment_by_segment(hyps, refset, False)
+    assert all(type(v) is int for s in got for v in s.as_tuple())

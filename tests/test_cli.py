@@ -2,9 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import edeval
 from edeval.cli import main
 from edeval.corpus import serialize_annotated
 from edeval.taxonomy import save_profile
@@ -324,3 +326,20 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
     code, _, _ = run_cli(["score", "--metric", "nope", "--hyp", "x", "--ref", "y"], capsys)
     assert code == 2
+
+
+def test_score_bleu_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs tens of milliseconds to import, and np.unique pulls it in.
+    path = write(tmp_path / "one.txt", "a b c d e\n")
+    code = (
+        "import sys\n"
+        "from edeval.cli import main\n"
+        f"assert main(['score', '--metric', 'bleu', '--hyp', {path!r}, '--ref', {path!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(edeval.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["BLEU = 100.00, 100.0/100.0/100.0/100.0 "
+                                        "(BP=1.000, ratio=1.000, hyp_len=5, ref_len=5)", "False"]

@@ -2,11 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edeval.cli import main
 from edeval.corpus import (
     Document,
     Manifest,
     ReferenceSet,
     Token,
+    load_annotated,
     load_manifest,
     load_plain,
     match_eval_subset,
@@ -262,3 +264,74 @@ def test_manifest_unequal_counts(tmp_path):
     )
     with pytest.raises(ShapeError, match="segment counts"):
         resolve_manifest(load_manifest(manifest_path))
+
+
+# -- input checks in the parse path -------------------------------------------
+
+ANNOTATED = "a\ta\tX\nb\tb\tX\n\nc\tc\tX\n"
+
+
+def test_parse_annotated_repeated_bad_line_reports_first_copy():
+    text = "a\ta\tX\nboom\n\nb\tb\tX\nboom\n"
+    with pytest.raises(ParseError, match="line 2:"):
+        parse_annotated(text)
+
+
+@pytest.mark.parametrize("loader, text", [(load_plain, "a b c\n"), (load_annotated, ANNOTATED)])
+def test_load_rejects_byte_order_mark(loader, text, tmp_path):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    with pytest.raises(ParseError, match="byte order mark") as info:
+        loader(path)
+    assert (info.value.source, info.value.line) == (str(path), 1)
+
+
+@pytest.mark.parametrize("text, line", [
+    (ANNOTATED.replace("\n", "\r\n"), 1),
+    ("a\ta\tX\nb\tb\tX\r\n\nc\tc\tX\n", 2),
+    ("a\ta\tX\nb\tb\tX\n\nc\tc\tX\r", 4),
+])
+def test_load_annotated_rejects_carriage_return(text, line, tmp_path):
+    path = tmp_path / "crlf.ann"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ParseError, match="carriage return") as info:
+        load_annotated(path)
+    assert (info.value.source, info.value.line) == (str(path), line)
+
+
+def _cli_argv(command, good, bad, out):
+    if command == "score":
+        return ["score", "--metric", "ter", "--lemma", "--hyp", bad, "--ref", good]
+    if command == "analyze":
+        return ["analyze", "--hyp", good, "--pe", good, bad, "--out", out]
+    return ["compare", "--metric", "ter", "--lemma", "--sys-a", good, "--sys-b", bad,
+            "--ref", good, "--trials", "10"]
+
+
+@pytest.mark.parametrize("defect", ["bom", "crlf"])
+@pytest.mark.parametrize("command", ["score", "analyze", "compare"])
+def test_cli_exits_1_naming_the_file(command, defect, tmp_path, capsys):
+    good = tmp_path / "good.ann"
+    good.write_text(ANNOTATED, encoding="utf-8")
+    bad = tmp_path / "bad.ann"
+    if defect == "bom":
+        bad.write_bytes(b"\xef\xbb\xbf" + ANNOTATED.encode("utf-8"))
+    else:
+        bad.write_bytes(ANNOTATED.replace("\n", "\r\n").encode("utf-8"))
+    code = main(_cli_argv(command, str(good), str(bad), str(tmp_path / "p.json")))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{bad}: line 1:" in err
+
+
+@pytest.mark.parametrize("metric", ["bleu", "ter"])
+def test_cli_rejects_byte_order_mark_in_plain_hypothesis(metric, tmp_path, capsys):
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_bytes(b"\xef\xbb\xbfa b c\n")
+    ref = tmp_path / "ref.txt"
+    ref.write_text("a b c\n", encoding="utf-8")
+    code = main(["score", "--metric", metric, "--hyp", str(hyp), "--ref", str(ref)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert f"{hyp}: line 1:" in err
