@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -270,6 +271,30 @@ def test_compare_deterministic_across_runs_and_threads(tmp_path):
     outputs = []
     for threads in ("1", "4"):
         env = {**os.environ, "EDEVAL_THREADS": threads, "PYTHONIOENCODING": "utf-8"}
+        proc = subprocess.run(argv, capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
+def test_compare_mter_identical_across_blas_threads(tmp_path):
+    rng = random.Random(4)
+    vocab = [f"w{i}" for i in range(40)]
+    rows = [[rng.choice(vocab) for _ in range(rng.randrange(4, 10))] for _ in range(150)]
+
+    def noisy(words):
+        return " ".join(rng.choice(vocab) if rng.random() < 0.3 else w for w in words) + "\n"
+
+    paths = {}
+    for name in ("r1", "r2", "r3", "a", "b"):
+        paths[name] = write(tmp_path / f"{name}.txt", "".join(noisy(w) for w in rows))
+    argv = [sys.executable, "-m", "edeval.cli", "compare", "--metric", "ter",
+            "--sys-a", paths["a"], "--sys-b", paths["b"],
+            "--ref", paths["r1"], paths["r2"], paths["r3"], "--trials", "20000", "--seed", "3"]
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONIOENCODING": "utf-8"}
         proc = subprocess.run(argv, capture_output=True, env=env)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
