@@ -2,6 +2,10 @@
 
 Tokens are interned to int32 ids before they reach this module; the
 kernels compare ids only, never the strings behind them.
+
+:func:`align` is the one alignment in the package: the shift search takes
+its matched positions from it, and :mod:`edeval.ter` builds every edit
+script from it.  :func:`_lev_bounded` only scores candidate shifts.
 """
 
 import numpy as np
@@ -9,50 +13,54 @@ import numpy as np
 MAX_SHIFT_SIZE = 10   # longest block that may move (tercom default)
 MAX_SHIFT_DIST = 50   # farthest a block may move (tercom default)
 
+MATCH, SUBSTITUTION, INSERTION, DELETION = range(4)   # alignment op codes
 
-def _fill_dp(h, r, D):
-    """Unit-cost edit-distance table of h vs r; returns the distance."""
+
+def align(h, r):
+    """Unit-cost edit-distance alignment of h against r: (distance, ops).
+
+    ``ops`` lists ``(code, i, j)`` in alignment order, where ``code`` is
+    MATCH, SUBSTITUTION, INSERTION or DELETION and ``i``/``j`` index h/r
+    (-1 on the side an insertion or deletion lacks).  The traceback
+    prefers match, substitution, insertion, deletion, in that order, so
+    every alignment-dependent decision is deterministic.
+    """
     n = h.shape[0]
     m = r.shape[0]
-    for j in range(m + 1):
-        D[0, j] = j
-    for i in range(1, n + 1):
-        D[i, 0] = i
-        hi = h[i - 1]
-        for j in range(1, m + 1):
-            c = D[i - 1, j - 1] + (0 if hi == r[j - 1] else 1)
-            d = D[i - 1, j] + 1
-            if d < c:
-                c = d
-            e = D[i, j - 1] + 1
-            if e < c:
-                c = e
-            D[i, j] = c
-    return D[n, m]
-
-
-def _matched_flags(h, r, D, matched):
-    """Mark hypothesis positions aligned as exact key matches.
-
-    Traceback preference is fixed (match, substitution, insertion,
-    deletion) so alignment-dependent decisions are deterministic.
-    """
-    i = h.shape[0]
-    j = r.shape[0]
-    for t in range(i):
-        matched[t] = 0
+    cols = np.arange(m + 1, dtype=np.int32)
+    D = np.empty((n + 1, m + 1), dtype=np.int32)
+    D[0] = cols
+    for i in range(n):
+        row = D[i + 1]
+        row[0] = i + 1
+        np.minimum(D[i, :-1] + (r != h[i]), D[i, 1:] + 1, out=row[1:])
+        # close over insertions: row[j] = min over k <= j of row[k] + (j - k)
+        row[:] = np.minimum.accumulate(row - cols) + cols
+    D = D.tolist()
+    hl = h.tolist()
+    rl = r.tolist()
+    ops = []
+    i, j = n, m
     while i > 0 and j > 0:
-        if h[i - 1] == r[j - 1] and D[i, j] == D[i - 1, j - 1]:
-            matched[i - 1] = 1
+        # equal keys always align as a match: D[i][j] == D[i-1][j-1] then
+        if hl[i - 1] == rl[j - 1]:
             i -= 1
             j -= 1
-        elif D[i, j] == D[i - 1, j - 1] + 1:
+            ops.append((MATCH, i, j))
+        elif D[i][j] == D[i - 1][j - 1] + 1:
             i -= 1
             j -= 1
-        elif D[i, j] == D[i, j - 1] + 1:
+            ops.append((SUBSTITUTION, i, j))
+        elif D[i][j] == D[i][j - 1] + 1:
             j -= 1
+            ops.append((INSERTION, -1, j))
         else:
             i -= 1
+            ops.append((DELETION, i, -1))
+    ops.extend((DELETION, t, -1) for t in range(i - 1, -1, -1))
+    ops.extend((INSERTION, -1, t) for t in range(j - 1, -1, -1))
+    ops.reverse()
+    return D[n][m], ops
 
 
 def _lev_bounded(a, n, b, bound, row0, row1):
@@ -109,10 +117,8 @@ def greedy_shift_ter(h, r):
     if n == 0 or m == 0:
         return max(n, m), 0, order, moved
     cur = h.copy()
-    D = np.empty((n + 1, m + 1), dtype=np.int32)
-    cur_ed = _fill_dp(cur, r, D)
+    cur_ed, ops = align(cur, r)
     shifts = 0
-    matched = np.zeros(n, dtype=np.uint8)
     starts = np.empty(m, dtype=np.int32)
     cand = np.empty(n, dtype=np.int32)
     removed = np.empty(n, dtype=np.int32)
@@ -122,7 +128,10 @@ def greedy_shift_ter(h, r):
     # cur_ed <= 1 cannot be improved: a shift reaching 0 would mean hyp and
     # ref are equal as multisets, which forces a no-shift distance >= 2.
     while cur_ed >= 2:
-        _matched_flags(cur, r, D, matched)
+        matched = [False] * n
+        for code, t, _ in ops:
+            if code == MATCH:
+                matched[t] = True
         best_ed = cur_ed
         best_i = -1
         best_len = 0
@@ -135,12 +144,12 @@ def greedy_shift_ter(h, r):
                     ns += 1
             if ns == 0:
                 continue
-            err = matched[i] == 0
+            err = not matched[i]
             max_len = min(MAX_SHIFT_SIZE, n - i)
             for blk in range(1, max_len + 1):
                 j = i + blk - 1
                 if blk > 1:
-                    if matched[j] == 0:
+                    if not matched[j]:
                         err = True
                     k = 0
                     for s in range(ns):
@@ -207,6 +216,6 @@ def greedy_shift_ter(h, r):
         cur = new_cur
         order = new_order
         shifts += 1
-        cur_ed = _fill_dp(cur, r, D)
+        cur_ed, ops = align(cur, r)
     return cur_ed + shifts, shifts, order, moved
 

@@ -8,6 +8,8 @@ The shift search is greedy: starting from the minimum-edit alignment it
 repeatedly applies the legal block move that removes the most remaining
 edits (each move costs one edit), until no move helps.  See
 :mod:`edeval._kernels` for the legality constraints and tie-breaking.
+Edit scripts come from :func:`edeval._kernels.align`, the one alignment
+that the shift search also reads its matched positions from.
 """
 
 from __future__ import annotations
@@ -136,84 +138,41 @@ def _encode(hyp_keys: list[str], ref_keys: list[str]) -> tuple[np.ndarray, np.nd
     return h, r
 
 
+_EDIT_KINDS = {
+    _kernels.SUBSTITUTION: EditKind.SUBSTITUTION,
+    _kernels.INSERTION: EditKind.INSERTION,
+    _kernels.DELETION: EditKind.DELETION,
+}
+
+
 def _build_ops(
     hyp: Segment,
     ref: Segment,
-    hyp_keys: list[str],
-    ref_keys: list[str],
-    order: Sequence[int],
-    moved: Sequence[int],
+    h_ids: np.ndarray,
+    r_ids: np.ndarray,
+    order: np.ndarray,
+    moved: np.ndarray,
 ) -> tuple[EditOp, ...]:
     """Align the post-shift hypothesis to the reference and emit typed ops.
 
-    Uses the same traceback preference as the kernel (match, substitution,
-    insertion, deletion) so scripts are deterministic.
+    The alignment is :func:`edeval._kernels.align`, the same one the shift
+    search reads its matched positions from; this only maps its codes onto
+    :class:`EditOp`, with indices in the original token order.
     """
-    order = [int(o) for o in order]
-    final_keys = [hyp_keys[o] for o in order]
-    n, m = len(final_keys), len(ref_keys)
-    D = [[0] * (m + 1) for _ in range(n + 1)]
-    D[0] = list(range(m + 1))
-    for i in range(1, n + 1):
-        row = D[i]
-        prev = D[i - 1]
-        row[0] = i
-        ki = final_keys[i - 1]
-        for j in range(1, m + 1):
-            c = prev[j - 1] + (0 if ki == ref_keys[j - 1] else 1)
-            d = prev[j] + 1
-            if d < c:
-                c = d
-            e = row[j - 1] + 1
-            if e < c:
-                c = e
-            row[j] = c
-
-    def match_op(i: int, j: int) -> EditOp:
-        orig = order[i]
-        h_tok = hyp.tokens[orig]
-        r_tok = ref.tokens[j]
-        kind = EditKind.SHIFT_MATCH if moved[orig] else EditKind.MATCH
-        return EditOp(kind, hyp_index=orig, ref_index=j, hyp_token=h_tok, ref_token=r_tok,
-                      surface_equal=h_tok.surface == r_tok.surface)
-
-    rev: list[EditOp] = []
-    i, j = n, m
-    while i > 0 and j > 0:
-        if final_keys[i - 1] == ref_keys[j - 1] and D[i][j] == D[i - 1][j - 1]:
-            rev.append(match_op(i - 1, j - 1))
-            i -= 1
-            j -= 1
-        elif D[i][j] == D[i - 1][j - 1] + 1:
-            orig = order[i - 1]
-            rev.append(EditOp(EditKind.SUBSTITUTION, hyp_index=orig, ref_index=j - 1,
-                              hyp_token=hyp.tokens[orig], ref_token=ref.tokens[j - 1]))
-            i -= 1
-            j -= 1
-        elif D[i][j] == D[i][j - 1] + 1:
-            rev.append(EditOp(EditKind.INSERTION, ref_index=j - 1, ref_token=ref.tokens[j - 1]))
-            j -= 1
+    _, steps = _kernels.align(h_ids[order], r_ids)
+    order = order.tolist()
+    moved = moved.tolist()
+    ops = []
+    for code, i, j in steps:
+        orig = order[i] if i >= 0 else None
+        h_tok = hyp.tokens[orig] if i >= 0 else None
+        r_tok = ref.tokens[j] if j >= 0 else None
+        if code == _kernels.MATCH:
+            kind = EditKind.SHIFT_MATCH if moved[orig] else EditKind.MATCH
+            ops.append(EditOp(kind, orig, j, h_tok, r_tok, h_tok.surface == r_tok.surface))
         else:
-            orig = order[i - 1]
-            rev.append(EditOp(EditKind.DELETION, hyp_index=orig, hyp_token=hyp.tokens[orig]))
-            i -= 1
-    while i > 0:
-        orig = order[i - 1]
-        rev.append(EditOp(EditKind.DELETION, hyp_index=orig, hyp_token=hyp.tokens[orig]))
-        i -= 1
-    while j > 0:
-        rev.append(EditOp(EditKind.INSERTION, ref_index=j - 1, ref_token=ref.tokens[j - 1]))
-        j -= 1
-    rev.reverse()
-    return tuple(rev)
-
-
-def _run_kernel(hyp: Segment, ref: Segment, mode: MatchMode, ignore_case: bool):
-    hyp_keys = _segment_keys(hyp, mode, ignore_case, "hypothesis")
-    ref_keys = _segment_keys(ref, mode, ignore_case, "reference")
-    h_ids, r_ids = _encode(hyp_keys, ref_keys)
-    edits, shifts, order, moved = _kernels.greedy_shift_ter(h_ids, r_ids)
-    return int(edits), int(shifts), order, moved, hyp_keys, ref_keys
+            ops.append(EditOp(_EDIT_KINDS[code], orig, j if j >= 0 else None, h_tok, r_tok))
+    return tuple(ops)
 
 
 def ter_single(
@@ -228,11 +187,7 @@ def ter_single(
     The denominator is the reference length; an empty reference uses a
     denominator of 1 (so a non-empty hypothesis scores its own length).
     """
-    edits, shifts, order, moved, hyp_keys, ref_keys = _run_kernel(hyp, ref, mode, ignore_case)
-    ops = _build_ops(hyp, ref, hyp_keys, ref_keys, order, moved)
-    script = EditScript(ops=ops, shift_count=shifts, segment_id=hyp.id, mode=mode)
-    denominator = Fraction(len(ref.tokens)) if ref.tokens else Fraction(1)
-    return TerScore(edits, denominator), script
+    return mter(hyp, [ref], mode, ignore_case=ignore_case)[:2]
 
 
 def _edit_lower_bound(hyp_keys: list[str], ref_keys: list[str]) -> int:
@@ -286,10 +241,10 @@ def mter(
         h_ids, r_ids = _encode(hyp_keys, ref_keys[k])
         edits, shifts, order, moved = _kernels.greedy_shift_ter(h_ids, r_ids)
         if best is None or (edits, k) < (best[0], best_k):
-            best = (int(edits), int(shifts), order, moved)
+            best = (int(edits), int(shifts), order, moved, h_ids, r_ids)
             best_k = k
-    edits, shifts, order, moved = best
-    ops = _build_ops(hyp, refs[best_k], hyp_keys, ref_keys[best_k], order, moved)
+    edits, shifts, order, moved, h_ids, r_ids = best
+    ops = _build_ops(hyp, refs[best_k], h_ids, r_ids, order, moved)
     script = EditScript(ops=ops, shift_count=shifts, segment_id=hyp.id, mode=mode)
     mean_len = Fraction(sum(len(r.tokens) for r in refs), len(refs))
     denominator = mean_len if mean_len > 0 else Fraction(1)
@@ -307,8 +262,8 @@ def corpus_ter_detailed(
     """Score every segment with :func:`mter`, in segment-id order.
 
     ``threads`` (and the ``EDEVAL_THREADS`` environment variable) is
-    accepted for compatibility and ignored: the kernel is pure Python and
-    holds the GIL, so worker threads could only add overhead.
+    accepted for compatibility and ignored: the shift search runs Python
+    loops and holds the GIL, so worker threads could only add overhead.
     """
     if len(hyps) != len(refs):
         raise ShapeError(

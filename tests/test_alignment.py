@@ -1,10 +1,12 @@
-"""Frozen TER outputs and the shift search under binding caps.
+"""Frozen TER outputs, the shift search under binding caps, and ``align``.
 
 The golden digests pin what the public ``mter`` returns (score, chosen
 reference, shift count and every edit op) and the raw output of the shift
 search (edits, shifts, order, moved) on seeded cases.  Any rewrite of the
 alignment or of the shift search must reproduce them exactly; a digest may
 change only with a deliberate change of output that README documents.
+``_kernels.align``, the alignment both the shift search and the edit
+scripts use, is checked against the plain-list oracles.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from edeval import _kernels
@@ -125,3 +129,33 @@ def test_shift_caps_match_oracle(monkeypatch, size_cap, dist_cap):
     capped = [kernel_result(hyp, ref) for hyp, ref in pairs]
     assert capped == [oracles.greedy_shift_ter_oracle(hyp, ref) for hyp, ref in pairs]
     assert sum(c != d for c, d in zip(capped, default)) >= 50
+
+
+# three symbols make ties between insertions and deletions common
+ids_st = st.lists(st.integers(0, 2), max_size=12)
+
+
+@given(ids_st, ids_st)
+@example([], [])
+@example([1, 2], [])
+@example([], [3])
+@example([0, 1, 0], [1, 0, 1])
+@settings(max_examples=500)
+def test_align_agrees_with_oracles(hyp, ref):
+    distance, ops = _kernels.align(np.array(hyp, dtype=np.int32), np.array(ref, dtype=np.int32))
+    assert distance == oracles.simple_edit_distance(hyp, ref)
+    # every index of each side appears once, in increasing order
+    assert [i for _, i, _ in ops if i >= 0] == list(range(len(hyp)))
+    assert [j for _, _, j in ops if j >= 0] == list(range(len(ref)))
+    matched = [False] * len(hyp)
+    for code, i, j in ops:
+        if code == _kernels.INSERTION:
+            assert i < 0 <= j
+        elif code == _kernels.DELETION:
+            assert j < 0 <= i
+        else:
+            assert code in (_kernels.MATCH, _kernels.SUBSTITUTION) and min(i, j) >= 0
+            assert (hyp[i] == ref[j]) == (code == _kernels.MATCH)
+            matched[i] = code == _kernels.MATCH
+    assert matched == oracles.matched_positions(hyp, ref)
+    assert sum(code != _kernels.MATCH for code, _, _ in ops) == distance
