@@ -1,19 +1,43 @@
-"""Numeric kernels for edit-distance alignment and greedy block-shift search.
+"""Kernels for edit-distance alignment and greedy block-shift search.
 
-Tokens are interned to int32 ids before they reach this module; the
-kernels compare ids only, never the strings behind them.
+Tokens reach this module as plain lists of integer ids, interned by the
+caller; the kernels compare ids only, never the strings behind them.
+Every step reads or writes one element at a time, which Python lists do
+faster than numpy arrays, so the module uses no numpy.
 
 :func:`align` is the one alignment in the package: the shift search takes
 its matched positions from it, and :mod:`edeval.ter` builds every edit
-script from it.  :func:`_lev_bounded` only scores candidate shifts.
+script from it.  :func:`_lev_bounded` only scores candidate shifts; both
+fill their tables with :func:`_next_row`.
 """
 
-import numpy as np
+from array import array
 
 MAX_SHIFT_SIZE = 10   # longest block that may move (tercom default)
 MAX_SHIFT_DIST = 50   # farthest a block may move (tercom default)
 
 MATCH, SUBSTITUTION, INSERTION, DELETION = range(4)   # alignment op codes
+
+
+def _next_row(prev, x, r):
+    """Row i of the unit-cost edit-distance table of some h against r, from
+    row i - 1 (``prev``) and x = h[i - 1].
+
+    Neighbouring cells differ by at most 1, so a match takes the diagonal
+    and any other cell is one more than the least of its three neighbours.
+    """
+    left = prev[0] + 1
+    row = [left]
+    for diag, up, y in zip(prev, prev[1:], r):
+        if x != y:
+            if up < diag:
+                diag = up
+            if left < diag:
+                diag = left
+            diag += 1
+        row.append(diag)
+        left = diag
+    return row
 
 
 def align(h, r):
@@ -25,25 +49,16 @@ def align(h, r):
     prefers match, substitution, insertion, deletion, in that order, so
     every alignment-dependent decision is deterministic.
     """
-    n = h.shape[0]
-    m = r.shape[0]
-    cols = np.arange(m + 1, dtype=np.int32)
-    D = np.empty((n + 1, m + 1), dtype=np.int32)
-    D[0] = cols
-    for i in range(n):
-        row = D[i + 1]
-        row[0] = i + 1
-        np.minimum(D[i, :-1] + (r != h[i]), D[i, 1:] + 1, out=row[1:])
-        # close over insertions: row[j] = min over k <= j of row[k] + (j - k)
-        row[:] = np.minimum.accumulate(row - cols) + cols
-    D = D.tolist()
-    hl = h.tolist()
-    rl = r.tolist()
+    n = len(h)
+    m = len(r)
+    D = [list(range(m + 1))]
+    for x in h:
+        D.append(_next_row(D[-1], x, r))
     ops = []
     i, j = n, m
     while i > 0 and j > 0:
         # equal keys always align as a match: D[i][j] == D[i-1][j-1] then
-        if hl[i - 1] == rl[j - 1]:
+        if h[i - 1] == r[j - 1]:
             i -= 1
             j -= 1
             ops.append((MATCH, i, j))
@@ -63,37 +78,25 @@ def align(h, r):
     return D[n][m], ops
 
 
-def _lev_bounded(a, n, b, bound, row0, row1):
-    """Edit distance of a[:n] vs b, early-abandoned once it cannot beat bound.
+def _lev_bounded(a, b, bound):
+    """Edit distance of a vs b, early-abandoned once it cannot beat bound.
 
     Returns the exact distance when it is < bound, otherwise bound.
     """
-    m = b.shape[0]
-    if n - m >= bound or m - n >= bound:
+    if abs(len(a) - len(b)) >= bound:
         return bound
-    for j in range(m + 1):
-        row0[j] = j
-    for i in range(1, n + 1):
-        row1[0] = i
-        ai = a[i - 1]
-        rmin = i
-        for j in range(1, m + 1):
-            c = row0[j - 1] + (0 if ai == b[j - 1] else 1)
-            d = row0[j] + 1
-            if d < c:
-                c = d
-            e = row1[j - 1] + 1
-            if e < c:
-                c = e
-            row1[j] = c
-            if c < rmin:
-                rmin = c
-        if rmin >= bound:
+    row = list(range(len(b) + 1))
+    for x in a:
+        row = _next_row(row, x, b)
+        if min(row) >= bound:
             return bound
-        tmp = row0
-        row0 = row1
-        row1 = tmp
-    return row0[m]
+    return row[-1]
+
+
+def _shifted(seq, i, j, d):
+    """seq with its block seq[i:j] moved to position d of the rest."""
+    rest = seq[:i] + seq[j:]
+    return rest[:d] + seq[i:j] + rest[d:]
 
 
 def greedy_shift_ter(h, r):
@@ -107,24 +110,21 @@ def greedy_shift_ter(h, r):
     contains at least one currently misaligned token, its length is at
     most MAX_SHIFT_SIZE and its displacement at most MAX_SHIFT_DIST.
 
-    ``order`` maps final position -> original hypothesis index; ``moved``
-    flags original indices that took part in any applied shift.
+    h and r are sequences of integer ids (anything with ``tolist()`` is
+    read through it).  ``order`` (``array('i')``) maps final position ->
+    original hypothesis index; ``moved`` (``array('B')``) flags original
+    indices that took part in any applied shift.
     """
-    n = h.shape[0]
-    m = r.shape[0]
-    order = np.arange(n).astype(np.int32)
-    moved = np.zeros(n, dtype=np.uint8)
+    cur = h.tolist() if hasattr(h, "tolist") else list(h)
+    r = r.tolist() if hasattr(r, "tolist") else list(r)
+    n = len(cur)
+    m = len(r)
+    order = list(range(n))
+    moved = array("B", bytes(n))
     if n == 0 or m == 0:
-        return max(n, m), 0, order, moved
-    cur = h.copy()
+        return max(n, m), 0, array("i", order), moved
     cur_ed, ops = align(cur, r)
     shifts = 0
-    starts = np.empty(m, dtype=np.int32)
-    cand = np.empty(n, dtype=np.int32)
-    removed = np.empty(n, dtype=np.int32)
-    removed_order = np.empty(n, dtype=np.int32)
-    row0 = np.empty(m + 2, dtype=np.int32)
-    row1 = np.empty(m + 2, dtype=np.int32)
     # cur_ed <= 1 cannot be improved: a shift reaching 0 would mean hyp and
     # ref are equal as multisets, which forces a no-shift distance >= 2.
     while cur_ed >= 2:
@@ -133,89 +133,41 @@ def greedy_shift_ter(h, r):
             if code == MATCH:
                 matched[t] = True
         best_ed = cur_ed
-        best_i = -1
-        best_len = 0
-        best_d = -1
+        best = None
         for i in range(n):
-            ns = 0
-            for p in range(m):
-                if r[p] == cur[i]:
-                    starts[ns] = p
-                    ns += 1
-            if ns == 0:
+            # reference positions where the block cur[i:j + 1] starts
+            x = cur[i]
+            starts = [p for p in range(m) if r[p] == x]
+            if not starts:
                 continue
             err = not matched[i]
-            max_len = min(MAX_SHIFT_SIZE, n - i)
-            for blk in range(1, max_len + 1):
-                j = i + blk - 1
-                if blk > 1:
+            for j in range(i, min(i + MAX_SHIFT_SIZE, n)):
+                if j > i:
                     if not matched[j]:
                         err = True
-                    k = 0
-                    for s in range(ns):
-                        p = starts[s]
-                        if p + blk - 1 < m and r[p + blk - 1] == cur[j]:
-                            starts[k] = p
-                            k += 1
-                    ns = k
-                    if ns == 0:
+                    k = j - i
+                    x = cur[j]
+                    starts = [p for p in starts if p + k < m and r[p + k] == x]
+                    if not starts:
                         break
                 if not err:
                     continue
-                nl = n - blk
-                idx = 0
-                for t in range(n):
-                    if t < i or t > j:
-                        removed[idx] = cur[t]
-                        idx += 1
-                lo = i - MAX_SHIFT_DIST
-                if lo < 0:
-                    lo = 0
-                hi_d = i + MAX_SHIFT_DIST
-                if hi_d > nl:
-                    hi_d = nl
-                for d in range(lo, hi_d + 1):
+                block = cur[i:j + 1]
+                removed = cur[:i] + cur[j + 1:]
+                hi = min(len(removed), i + MAX_SHIFT_DIST)
+                for d in range(max(0, i - MAX_SHIFT_DIST), hi + 1):
                     if d == i:
                         continue
-                    for t in range(d):
-                        cand[t] = removed[t]
-                    for t in range(blk):
-                        cand[d + t] = cur[i + t]
-                    for t in range(d, nl):
-                        cand[blk + t] = removed[t]
-                    e = _lev_bounded(cand, n, r, best_ed, row0, row1)
+                    e = _lev_bounded(removed[:d] + block + removed[d:], r, best_ed)
                     if e < best_ed:
                         best_ed = e
-                        best_i = i
-                        best_len = blk
-                        best_d = d
-        if best_i < 0:
+                        best = (i, j + 1, d)
+        if best is None:
             break
-        i = best_i
-        blk = best_len
-        j = i + blk - 1
-        d = best_d
-        idx = 0
-        for t in range(n):
-            if t < i or t > j:
-                removed[idx] = cur[t]
-                removed_order[idx] = order[t]
-                idx += 1
-        new_cur = np.empty(n, dtype=cur.dtype)
-        new_order = np.empty(n, dtype=np.int32)
-        for t in range(d):
-            new_cur[t] = removed[t]
-            new_order[t] = removed_order[t]
-        for t in range(blk):
-            new_cur[d + t] = cur[i + t]
-            new_order[d + t] = order[i + t]
-            moved[order[i + t]] = 1
-        for t in range(d, n - blk):
-            new_cur[blk + t] = removed[t]
-            new_order[blk + t] = removed_order[t]
-        cur = new_cur
-        order = new_order
+        for t in order[best[0]:best[1]]:
+            moved[t] = 1
+        cur = _shifted(cur, *best)
+        order = _shifted(order, *best)
         shifts += 1
         cur_ed, ops = align(cur, r)
-    return cur_ed + shifts, shifts, order, moved
-
+    return cur_ed + shifts, shifts, array("i", order), moved

@@ -20,8 +20,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from . import _kernels
 from .corpus import Document, ReferenceSet, Segment, Token
 from .errors import AnnotationError, ShapeError
@@ -127,15 +125,11 @@ def _segment_keys(seg: Segment, mode: MatchMode, ignore_case: bool, side: str) -
     return keys
 
 
-def _encode(hyp_keys: list[str], ref_keys: list[str]) -> tuple[np.ndarray, np.ndarray]:
+def _encode(hyp_keys: list[str], ref_keys: list[str]) -> tuple[list[int], list[int]]:
     ids: dict[str, int] = {}
-    for k in hyp_keys:
+    for k in hyp_keys + ref_keys:
         ids.setdefault(k, len(ids))
-    for k in ref_keys:
-        ids.setdefault(k, len(ids))
-    h = np.fromiter((ids[k] for k in hyp_keys), dtype=np.int32, count=len(hyp_keys))
-    r = np.fromiter((ids[k] for k in ref_keys), dtype=np.int32, count=len(ref_keys))
-    return h, r
+    return [ids[k] for k in hyp_keys], [ids[k] for k in ref_keys]
 
 
 _EDIT_KINDS = {
@@ -148,20 +142,21 @@ _EDIT_KINDS = {
 def _build_ops(
     hyp: Segment,
     ref: Segment,
-    h_ids: np.ndarray,
-    r_ids: np.ndarray,
-    order: np.ndarray,
-    moved: np.ndarray,
+    h_ids: list[int],
+    r_ids: list[int],
+    order: Sequence[int],
+    moved: Sequence[int],
 ) -> tuple[EditOp, ...]:
     """Align the post-shift hypothesis to the reference and emit typed ops.
 
-    The alignment is :func:`edeval._kernels.align`, the same one the shift
+    ``h_ids``/``r_ids`` are the interned keys of ``hyp``/``ref``; ``order``
+    and ``moved`` come from the shift search (final position -> original
+    index, and a flag per original index that took part in a shift).  The
+    alignment is :func:`edeval._kernels.align`, the same one the shift
     search reads its matched positions from; this only maps its codes onto
     :class:`EditOp`, with indices in the original token order.
     """
-    _, steps = _kernels.align(h_ids[order], r_ids)
-    order = order.tolist()
-    moved = moved.tolist()
+    _, steps = _kernels.align([h_ids[t] for t in order], r_ids)
     ops = []
     for code, i, j in steps:
         orig = order[i] if i >= 0 else None
@@ -241,7 +236,7 @@ def mter(
         h_ids, r_ids = _encode(hyp_keys, ref_keys[k])
         edits, shifts, order, moved = _kernels.greedy_shift_ter(h_ids, r_ids)
         if best is None or (edits, k) < (best[0], best_k):
-            best = (int(edits), int(shifts), order, moved, h_ids, r_ids)
+            best = (edits, shifts, order, moved, h_ids, r_ids)
             best_k = k
     edits, shifts, order, moved, h_ids, r_ids = best
     ops = _build_ops(hyp, refs[best_k], h_ids, r_ids, order, moved)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -159,3 +160,31 @@ def test_align_agrees_with_oracles(hyp, ref):
             matched[i] = code == _kernels.MATCH
     assert matched == oracles.matched_positions(hyp, ref)
     assert sum(code != _kernels.MATCH for code, _, _ in ops) == distance
+
+
+ID_FORMS = {
+    "list": list,
+    "tuple": tuple,
+    "array": lambda ids: array("i", ids),
+    "numpy": lambda ids: np.array(ids, dtype=np.int32),
+}
+
+
+def test_kernels_accept_any_integer_sequence():
+    # Same outputs from every container of ids; results are plain ints, and
+    # order and moved expose tolist() like the numpy arrays they replace.
+    rng = random.Random(1717)
+    for _ in range(300):
+        k = rng.randrange(2, 7)
+        hyp = [rng.randrange(k) for _ in range(rng.randrange(0, 16))]
+        ref = [rng.randrange(k) for _ in range(rng.randrange(0, 16))]
+        shifted, aligned = set(), set()
+        for form in ID_FORMS.values():
+            edits, shifts, order, moved = _kernels.greedy_shift_ter(form(hyp), form(ref))
+            result = (edits, shifts, order.tolist(), moved.tolist())
+            assert all(type(v) is int for v in [edits, shifts, *result[2], *result[3]])
+            shifted.add(repr(result))
+            distance, ops = _kernels.align(form(hyp), form(ref))
+            assert type(distance) is int
+            aligned.add(repr((distance, ops)))
+        assert len(shifted) == 1 and len(aligned) == 1
