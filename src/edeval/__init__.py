@@ -4,11 +4,17 @@ Corpus BLEU, TER with block shifts against single or multiple references
 (surface- or lemma-level matching), fine-grained error profiles derived
 from annotated post-edits, baseline-normalized error distributions, and
 resampling-based significance tests.
+
+Only BLEU and resampling use numpy, so :mod:`edeval.bleu`,
+:mod:`edeval.significance` and the names exported from them are imported
+on first access (PEP 562), and TER, error profiles and reports start
+without numpy.
 """
 
 __version__ = "0.1.0"
 
-from .bleu import BleuScore, BleuStats, corpus_bleu, segment_bleu_stats
+from importlib import import_module as _import_module
+
 from .corpus import (
     Document,
     Manifest,
@@ -26,7 +32,6 @@ from .corpus import (
     serialize_plain,
 )
 from .errors import AnnotationError, DataError, ParseError, ShapeError
-from .significance import SignificanceResult, approx_randomization, bootstrap_ci
 from .taxonomy import (
     DeltaReport,
     ErrorCategory,
@@ -96,3 +101,24 @@ __all__ = [
     "AnnotationError",
     "ShapeError",
 ]
+
+# name -> the submodule it comes from (a submodule maps to itself)
+_LAZY = {
+    **dict.fromkeys(["bleu", "BleuStats", "BleuScore", "segment_bleu_stats", "corpus_bleu"],
+                    "bleu"),
+    **dict.fromkeys(["significance", "SignificanceResult", "approx_randomization",
+                     "bootstrap_ci"], "significance"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _import_module(f"{__name__}.{_LAZY[name]}")
+    value = module if name == _LAZY[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -9,9 +9,16 @@ faster than numpy arrays, so the module uses no numpy.
 its matched positions from it, and :mod:`edeval.ter` builds every edit
 script from it.  :func:`_lev_bounded` only scores candidate shifts; both
 fill their tables with :func:`_next_row`.
+
+:func:`edit_floor`, the bag-of-words bound ``max(n, m) - |H & R|``, is a
+floor that no permutation of the hypothesis aligns below: the shift search
+stops when its distance reaches it, and a greedy step stops at the first
+candidate that reaches it, which wins the tie-break anyway.
+:func:`edeval.ter.mter` prunes references by the same bound.
 """
 
 from array import array
+from collections import Counter
 
 MAX_SHIFT_SIZE = 10   # longest block that may move (tercom default)
 MAX_SHIFT_DIST = 50   # farthest a block may move (tercom default)
@@ -93,6 +100,19 @@ def _lev_bounded(a, b, bound):
     return row[-1]
 
 
+def edit_floor(h, r):
+    """Lower bound on the greedy-shift edits of h against r.
+
+    Shifts only permute the hypothesis, and a unit-cost alignment of any
+    permutation needs at least max(n, m) minus its matches edits, while
+    matches cannot exceed the multiset intersection of the keys.  The
+    greedy result (final distance plus one per shift) is never below that.
+    Works on any hashable keys, ids or strings.
+    """
+    common = sum((Counter(h) & Counter(r)).values())
+    return max(len(h), len(r)) - common
+
+
 def _shifted(seq, i, j, d):
     """seq with its block seq[i:j] moved to position d of the rest."""
     rest = seq[:i] + seq[j:]
@@ -108,7 +128,8 @@ def greedy_shift_ter(h, r):
     (guaranteed by enumeration order plus strict improvement).  A block
     may move only if it exactly matches a contiguous reference span, it
     contains at least one currently misaligned token, its length is at
-    most MAX_SHIFT_SIZE and its displacement at most MAX_SHIFT_DIST.
+    most MAX_SHIFT_SIZE and its displacement at most MAX_SHIFT_DIST.  The
+    search ends once the distance reaches :func:`edit_floor`.
 
     h and r are sequences of integer ids (anything with ``tolist()`` is
     read through it).  ``order`` (``array('i')``) maps final position ->
@@ -117,51 +138,13 @@ def greedy_shift_ter(h, r):
     """
     cur = h.tolist() if hasattr(h, "tolist") else list(h)
     r = r.tolist() if hasattr(r, "tolist") else list(r)
-    n = len(cur)
-    m = len(r)
-    order = list(range(n))
-    moved = array("B", bytes(n))
-    if n == 0 or m == 0:
-        return max(n, m), 0, array("i", order), moved
+    order = list(range(len(cur)))
+    moved = array("B", bytes(len(cur)))
+    floor = edit_floor(cur, r)
     cur_ed, ops = align(cur, r)
     shifts = 0
-    # cur_ed <= 1 cannot be improved: a shift reaching 0 would mean hyp and
-    # ref are equal as multisets, which forces a no-shift distance >= 2.
-    while cur_ed >= 2:
-        matched = [False] * n
-        for code, t, _ in ops:
-            if code == MATCH:
-                matched[t] = True
-        best_ed = cur_ed
-        best = None
-        for i in range(n):
-            # reference positions where the block cur[i:j + 1] starts
-            x = cur[i]
-            starts = [p for p in range(m) if r[p] == x]
-            if not starts:
-                continue
-            err = not matched[i]
-            for j in range(i, min(i + MAX_SHIFT_SIZE, n)):
-                if j > i:
-                    if not matched[j]:
-                        err = True
-                    k = j - i
-                    x = cur[j]
-                    starts = [p for p in starts if p + k < m and r[p + k] == x]
-                    if not starts:
-                        break
-                if not err:
-                    continue
-                block = cur[i:j + 1]
-                removed = cur[:i] + cur[j + 1:]
-                hi = min(len(removed), i + MAX_SHIFT_DIST)
-                for d in range(max(0, i - MAX_SHIFT_DIST), hi + 1):
-                    if d == i:
-                        continue
-                    e = _lev_bounded(removed[:d] + block + removed[d:], r, best_ed)
-                    if e < best_ed:
-                        best_ed = e
-                        best = (i, j + 1, d)
+    while cur_ed > floor:
+        best = _best_shift(cur, r, ops, cur_ed, floor)
         if best is None:
             break
         for t in order[best[0]:best[1]]:
@@ -171,3 +154,47 @@ def greedy_shift_ter(h, r):
         shifts += 1
         cur_ed, ops = align(cur, r)
     return cur_ed + shifts, shifts, array("i", order), moved
+
+
+def _best_shift(cur, r, ops, cur_ed, floor):
+    """First legal shift (i, j, d) of cur[i:j] to d with the least distance
+    below cur_ed, or None; ``ops`` is the alignment of cur against r."""
+    n = len(cur)
+    m = len(r)
+    matched = [False] * n
+    for code, t, _ in ops:
+        if code == MATCH:
+            matched[t] = True
+    best_ed = cur_ed
+    best = None
+    for i in range(n):
+        # reference positions where the block cur[i:j + 1] starts
+        x = cur[i]
+        starts = [p for p in range(m) if r[p] == x]
+        if not starts:
+            continue
+        err = not matched[i]
+        for j in range(i, min(i + MAX_SHIFT_SIZE, n)):
+            if j > i:
+                if not matched[j]:
+                    err = True
+                k = j - i
+                x = cur[j]
+                starts = [p for p in starts if p + k < m and r[p + k] == x]
+                if not starts:
+                    break
+            if not err:
+                continue
+            block = cur[i:j + 1]
+            removed = cur[:i] + cur[j + 1:]
+            hi = min(len(removed), i + MAX_SHIFT_DIST)
+            for d in range(max(0, i - MAX_SHIFT_DIST), hi + 1):
+                if d == i:
+                    continue
+                e = _lev_bounded(removed[:d] + block + removed[d:], r, best_ed)
+                if e < best_ed:
+                    best_ed = e
+                    best = (i, j + 1, d)
+                    if e == floor:
+                        return best
+    return best

@@ -10,25 +10,46 @@ can be reproduced by a single scripted call:
 * ``subset``   evaluation-subset extraction by exact target match
 
 Exit codes: 0 success, 1 broken input data, 2 usage errors.
+
+Only BLEU and resampling use numpy, so the names taken from
+:mod:`edeval.bleu` and :mod:`edeval.significance` are module attributes
+imported on first access (see :func:`__getattr__`), and the commands look
+them up on the module when they call them.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from pathlib import Path
 
 from . import __version__
-from .bleu import corpus_bleu, corpus_stats, format_multi_bleu_line
 from .corpus import ReferenceSet, load_annotated, load_plain, match_eval_subset
 from .errors import DataError
 from .report import FORMATS, build_table, render
-from .significance import approx_randomization
 from .taxonomy import load_profile, profile_system, save_profile
 from .ter import MatchMode, SegmentTer, corpus_ter_detailed, ter_corpus_score
 
 SIGNIFICANCE_LEVEL = 0.05
+
+_LAZY = {
+    "corpus_bleu": "bleu",
+    "corpus_stats": "bleu",
+    "format_multi_bleu_line": "bleu",
+    "approx_randomization": "significance",
+}
+_self = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    """Import a numpy-backed name on first access and keep it as a global."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module("." + _LAZY[name], __package__), name)
+    globals()[name] = value
+    return value
 
 
 def _load_docs(paths, annotated: bool):
@@ -76,8 +97,8 @@ def cmd_score(args) -> int:
             args.parser.error("--trace applies to --metric ter only")
         hyps = load_plain(args.hyp)
         refs = ReferenceSet(tuple(_load_docs(args.ref, annotated=False)))
-        score = corpus_bleu(hyps, refs, ignore_case=args.ignore_case, smooth=args.smooth)
-        print(format_multi_bleu_line(score))
+        score = _self.corpus_bleu(hyps, refs, ignore_case=args.ignore_case, smooth=args.smooth)
+        print(_self.format_multi_bleu_line(score))
         return 0
     if args.smooth:
         args.parser.error("--smooth applies to --metric bleu only")
@@ -128,8 +149,8 @@ def cmd_compare(args) -> int:
     sys_b = load_annotated(args.sys_b) if annotated else load_plain(args.sys_b)
     refs = ReferenceSet(tuple(_load_docs(args.ref, annotated=annotated)))
     if args.metric == "bleu":
-        stats_a = corpus_stats(sys_a, refs, ignore_case=args.ignore_case)
-        stats_b = corpus_stats(sys_b, refs, ignore_case=args.ignore_case)
+        stats_a = _self.corpus_stats(sys_a, refs, ignore_case=args.ignore_case)
+        stats_b = _self.corpus_stats(sys_b, refs, ignore_case=args.ignore_case)
     else:
         mode = MatchMode.LEMMA if args.lemma else MatchMode.SURFACE
         stats_a = [
@@ -140,7 +161,7 @@ def cmd_compare(args) -> int:
             (r.score.edits, r.score.denominator)
             for r in corpus_ter_detailed(sys_b, refs, mode, ignore_case=args.ignore_case)
         ]
-    result = approx_randomization(stats_a, stats_b, args.metric, args.trials, args.seed)
+    result = _self.approx_randomization(stats_a, stats_b, args.metric, args.trials, args.seed)
     arrow = " ↑" if result.p_value < SIGNIFICANCE_LEVEL else ""
     print(f"metric = {result.metric}")
     print(f"score_a = {100.0 * result.score_a:.4f}")

@@ -6,7 +6,9 @@ which downstream error classification relies on.
 
 The shift search is greedy: starting from the minimum-edit alignment it
 repeatedly applies the legal block move that removes the most remaining
-edits (each move costs one edit), until no move helps.  See
+edits (each move costs one edit), until no move helps or the distance
+reaches the bag-of-words floor :func:`edeval._kernels.edit_floor`, the
+bound by which :func:`mter` also prunes references.  See
 :mod:`edeval._kernels` for the legality constraints and tie-breaking.
 Edit scripts come from :func:`edeval._kernels.align`, the one alignment
 that the shift search also reads its matched positions from.
@@ -14,7 +16,6 @@ that the shift search also reads its matched positions from.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -185,16 +186,9 @@ def ter_single(
     return mter(hyp, [ref], mode, ignore_case=ignore_case)[:2]
 
 
-def _edit_lower_bound(hyp_keys: list[str], ref_keys: list[str]) -> int:
-    """Lower bound on the greedy-shift edits of hyp_keys against ref_keys.
-
-    Shifts only permute the hypothesis, and a unit-cost alignment of any
-    permutation needs at least max(n, m) minus its matches edits, while
-    matches cannot exceed the multiset intersection of the keys.  The
-    greedy result (final distance plus one per shift) is never below that.
-    """
-    common = sum((Counter(hyp_keys) & Counter(ref_keys)).values())
-    return max(len(hyp_keys), len(ref_keys)) - common
+# The bag-of-words bound by which mter orders and prunes references; the
+# shift search stops at the same floor.
+_edit_lower_bound = _kernels.edit_floor
 
 
 def mter(
@@ -210,11 +204,12 @@ def mter(
     Returns the score, the edit script against the chosen reference, and
     the chosen reference index (lowest index on ties).
 
-    References are searched in ascending (lower bound, index) order, see
-    :func:`_edit_lower_bound`; the search stops at the first reference whose
-    (bound, index) is not below the best (edits, index) found so far, since
-    neither it nor any later one can then win.  The result is exactly that
-    of scoring every reference.
+    References are searched in ascending (lower bound, index) order, with
+    the bag-of-words bound :func:`edeval._kernels.edit_floor` that the
+    shift search also stops at; the search stops at the first reference
+    whose (bound, index) is not below the best (edits, index) found so far,
+    since neither it nor any later one can then win.  The result is
+    exactly that of scoring every reference.
     """
     if not refs:
         raise ValueError("mter needs at least one reference segment")

@@ -368,3 +368,105 @@ def test_score_bleu_does_not_import_numpy_ma(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["BLEU = 100.00, 100.0/100.0/100.0/100.0 "
                                         "(BP=1.000, ratio=1.000, hyp_len=5, ref_len=5)", "False"]
+
+
+def run_fresh(args, cwd):
+    """Run a new interpreter on this checkout's ``edeval`` with ``args``."""
+    src = str(Path(edeval.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          cwd=cwd)
+
+
+def numpy_free_commands(tmp_path):
+    hyp, pe = make_annotated_files(tmp_path)
+    plain = write(tmp_path / "plain.txt", "a b c d\nd c b a\n")
+    profiles = []
+    for profile in table4_recurrent_profiles():
+        save_profile(profile, tmp_path / f"{profile.system}.json")
+        profiles.append(str(tmp_path / f"{profile.system}.json"))
+    return {
+        "score-ter": ["score", "--metric", "ter", "--hyp", plain, "--ref", plain],
+        "analyze": ["analyze", "--hyp", hyp, "--pe", pe, "--out", str(tmp_path / "p.json")],
+        "report": ["report", "--profiles", *profiles, "--baseline", "NMT"],
+        "subset": ["subset", "--candidate", plain, "--anchors", plain,
+                   "--out", str(tmp_path / "pairs.tsv")],
+    }
+
+
+@pytest.mark.parametrize("command", ["score-ter", "analyze", "report", "subset"])
+def test_commands_without_bleu_do_not_import_numpy(command, tmp_path):
+    # Only BLEU and resampling use numpy, and importing it is about half
+    # of a command's start-up.
+    argv = numpy_free_commands(tmp_path)[command]
+    code = (
+        "import sys\n"
+        "from edeval.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = run_fresh(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_module_entry_point_does_not_import_numpy(tmp_path):
+    argv = numpy_free_commands(tmp_path)["analyze"]
+    proc = run_fresh(["-X", "importtime", "-m", "edeval.cli", *argv], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"{argv[-1]}: system=hyp total=4 ")
+    # -X importtime writes one "import time: self | cumulative | module" line per import
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "edeval.ter" in imported
+    assert [name for name in imported if name.split(".")[0] == "numpy"] == []
+
+
+def test_public_api_names_resolve():
+    namespace = {}
+    exec("from edeval import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(edeval.__all__)
+    assert all(getattr(edeval, name) is namespace[name] for name in edeval.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        edeval.no_such_name
+
+
+def test_bleu_and_significance_load_on_first_access(tmp_path):
+    code = (
+        "import sys\n"
+        "import edeval\n"
+        "print('numpy' in sys.modules)\n"
+        "print(edeval.bleu.__name__, edeval.significance.bootstrap_ci.__module__)\n"
+        "print(edeval.corpus_bleu is edeval.bleu.corpus_bleu)\n"
+    )
+    proc = run_fresh(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "edeval.bleu edeval.significance", "True"]
+
+
+def test_commands_call_the_functions_bound_on_the_cli_module(tmp_path, capsys, monkeypatch):
+    # Tracing wraps these names on edeval.cli with setattr, so the commands
+    # must look them up there when they call them.
+    import edeval.cli
+
+    calls = []
+
+    def spy(name):
+        real = getattr(edeval.cli, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(edeval.cli, name, wrapped)
+
+    for name in ("corpus_bleu", "corpus_stats", "approx_randomization"):
+        spy(name)
+    path = write(tmp_path / "sys.txt", "a b c\nd e f\n")
+    ref = write(tmp_path / "ref.txt", "a b x\nd e f\n")
+    code, _, _ = run_cli(["score", "--metric", "bleu", "--hyp", path, "--ref", ref], capsys)
+    assert code == 0 and calls == ["corpus_bleu"]
+    code, _, _ = run_cli(["compare", "--metric", "bleu", "--sys-a", path, "--sys-b", path,
+                          "--ref", ref, "--trials", "10"], capsys)
+    assert code == 0 and calls == ["corpus_bleu", "corpus_stats", "corpus_stats",
+                                   "approx_randomization"]

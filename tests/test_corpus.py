@@ -78,6 +78,31 @@ def test_parse_plain_matches_whitespace_split_oracle(text):
     assert flat == text.split()
 
 
+# No-break space, line separator, paragraph separator, ideographic space and
+# next line: str.isspace() accepts each, and str.splitlines() would cut at
+# the last four.
+UNICODE_SPACES = "\u00a0\u2028\u2029\u3000\u0085"
+separator_st = st.text(alphabet=UNICODE_SPACES + " ", min_size=1, max_size=3)
+
+
+@given(st.lists(st.lists(st.tuples(separator_st, surface_st), max_size=5), max_size=6),
+       st.lists(separator_st, min_size=6, max_size=6))
+def test_plain_unicode_whitespace_separates_tokens_not_segments(lines, tails):
+    text = "".join("".join(sep + word for sep, word in line) + tail + "\n"
+                   for line, tail in zip(lines, tails))
+    doc = parse_plain(text)
+    assert [list(seg.surfaces()) for seg in doc] == [[w for _, w in line] for line in lines]
+    assert parse_plain(serialize_plain(doc)) == doc
+    assert serialize_plain(parse_plain(serialize_plain(doc))) == serialize_plain(doc)
+
+
+def test_load_plain_unicode_whitespace_keeps_one_segment_per_line(tmp_path):
+    path = tmp_path / "spaces.txt"
+    path.write_bytes(("a" + "b".join(UNICODE_SPACES) + "c\nd\n").encode("utf-8"))
+    doc = load_plain(path)
+    assert [list(seg.surfaces()) for seg in doc] == [["a", "b", "b", "b", "b", "c"], ["d"]]
+
+
 # -- annotated format -------------------------------------------------------
 
 def test_parse_annotated_basic():
@@ -155,6 +180,30 @@ def test_annotated_roundtrip_empty_segments():
             [Token(s, l, p) for s, l, p in seg] for seg in token_lists
         )
         assert parse_annotated(serialize_annotated(doc)) == doc
+
+
+@given(st.lists(ann_segment_st, min_size=1, max_size=4), st.data())
+def test_annotated_surface_with_unicode_whitespace_is_rejected(segments, data):
+    lines = serialize_annotated(Document.from_tokens(segments)).split("\n")
+    tokens = [k for k, line in enumerate(lines) if line]
+    if not tokens:
+        return
+    k = data.draw(st.sampled_from(tokens))
+    surface, rest = lines[k].split("\t", 1)
+    cut = data.draw(st.integers(0, len(surface)))
+    space = data.draw(st.sampled_from(UNICODE_SPACES))
+    lines[k] = f"{surface[:cut]}{space}{surface[cut:]}\t{rest}"
+    with pytest.raises(ParseError, match=f"^bad.ann: line {k + 1}: surface contains whitespace"):
+        parse_annotated("\n".join(lines), source="bad.ann")
+
+
+@pytest.mark.parametrize("space", UNICODE_SPACES)
+def test_load_annotated_names_file_and_line_of_unicode_whitespace(space, tmp_path):
+    path = tmp_path / "bad.ann"
+    path.write_bytes(f"a\ta\tX\n\nb{space}c\tb\tX\n".encode("utf-8"))
+    with pytest.raises(ParseError, match="surface contains whitespace") as info:
+        load_annotated(path)
+    assert (info.value.source, info.value.line) == (str(path), 3)
 
 
 def test_load_reports_decode_error_offset(tmp_path):

@@ -314,6 +314,31 @@ def test_edit_lower_bound_below_greedy_oracle(hyp_words, ref_words):
     assert 0 <= bound <= greedy_shift_ter_oracle(hyp_words, ref_words)[0]
 
 
+def test_shift_search_stops_at_the_floor(monkeypatch):
+    # Each reference token is distinct, and k >= 2 of them are overwritten
+    # by copies of tokens that are kept: the no-shift distance is k, and so
+    # is the bag-of-words floor, while every copy still starts a candidate
+    # block.  No candidate may be scored.
+    def refuse(*args):
+        raise AssertionError("a candidate shift was scored at the floor")
+
+    monkeypatch.setattr(_kernels, "_lev_bounded", refuse)
+    rng = random.Random(23)
+    for _ in range(200):
+        m = rng.randrange(3, 16)
+        r = rng.sample(range(100), m)
+        h = list(r)
+        k = rng.randrange(2, m)
+        replaced = rng.sample(range(m), k)
+        kept = [t for q, t in enumerate(r) if q not in replaced]
+        for p in replaced:
+            h[p] = rng.choice(kept)
+        floor = _edit_lower_bound(h, r)
+        assert floor == simple_edit_distance(h, r) == k
+        edits, shifts, order, moved = _kernels.greedy_shift_ter(h, r)
+        assert (edits, shifts, list(order), list(moved)) == (k, 0, list(range(m)), [0] * m)
+
+
 def test_mter_unannotated_pruned_reference_still_rejected():
     hyp = ann_seg([("a", "a", "N"), ("b", "b", "N")], seg_id=4)
     exact = ann_seg([("a", "a", "N"), ("b", "b", "N")])
