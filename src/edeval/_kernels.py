@@ -88,10 +88,8 @@ def align(h, r):
 def _lev_bounded(a, b, bound):
     """Edit distance of a vs b, early-abandoned once it cannot beat bound.
 
-    Returns the exact distance when it is < bound, otherwise bound.
+    Returns the exact distance when it is < bound, otherwise a value >= bound.
     """
-    if abs(len(a) - len(b)) >= bound:
-        return bound
     row = list(range(len(b) + 1))
     for x in a:
         row = _next_row(row, x, b)
@@ -167,22 +165,18 @@ def _best_shift(cur, r, ops, cur_ed, floor):
             matched[t] = True
     best_ed = cur_ed
     best = None
+    padded = r + [None]   # the None ends every reference span
     for i in range(n):
-        # reference positions where the block cur[i:j + 1] starts
-        x = cur[i]
-        starts = [p for p in range(m) if r[p] == x]
-        if not starts:
-            continue
-        err = not matched[i]
+        # reference positions just past each copy of the block cur[i:j + 1]
+        ends = range(m)
+        err = False
         for j in range(i, min(i + MAX_SHIFT_SIZE, n)):
-            if j > i:
-                if not matched[j]:
-                    err = True
-                k = j - i
-                x = cur[j]
-                starts = [p for p in starts if p + k < m and r[p + k] == x]
-                if not starts:
-                    break
+            if not matched[j]:
+                err = True
+            x = cur[j]
+            ends = [q + 1 for q in ends if padded[q] == x]
+            if not ends:
+                break
             if not err:
                 continue
             block = cur[i:j + 1]

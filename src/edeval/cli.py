@@ -95,15 +95,14 @@ def cmd_score(args) -> int:
             args.parser.error("--lemma applies to --metric ter only")
         if args.trace:
             args.parser.error("--trace applies to --metric ter only")
-        hyps = load_plain(args.hyp)
-        refs = ReferenceSet(tuple(_load_docs(args.ref, annotated=False)))
+    elif args.smooth:
+        args.parser.error("--smooth applies to --metric bleu only")
+    hyps, *ref_docs = _load_docs([args.hyp, *args.ref], annotated=args.lemma)
+    refs = ReferenceSet(tuple(ref_docs))
+    if args.metric == "bleu":
         score = _self.corpus_bleu(hyps, refs, ignore_case=args.ignore_case, smooth=args.smooth)
         print(_self.format_multi_bleu_line(score))
         return 0
-    if args.smooth:
-        args.parser.error("--smooth applies to --metric bleu only")
-    hyps = load_plain(args.hyp) if not args.lemma else load_annotated(args.hyp)
-    refs = ReferenceSet(tuple(_load_docs(args.ref, annotated=args.lemma)))
     mode = MatchMode.LEMMA if args.lemma else MatchMode.SURFACE
     detailed = corpus_ter_detailed(hyps, refs, mode, ignore_case=args.ignore_case)
     score = ter_corpus_score([(r.score.edits, r.score.denominator) for r in detailed])
@@ -119,8 +118,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    hyps = load_annotated(args.hyp)
-    postedits = ReferenceSet(tuple(_load_docs(args.pe, annotated=True)))
+    hyps, *pe_docs = _load_docs([args.hyp, *args.pe], annotated=True)
+    postedits = ReferenceSet(tuple(pe_docs))
     system = args.system if args.system else Path(args.hyp).stem
     profile = profile_system(hyps, postedits, system, ignore_case=args.ignore_case)
     save_profile(profile, args.out)
@@ -144,24 +143,19 @@ def cmd_compare(args) -> int:
         args.parser.error("--lemma applies to --metric ter only")
     if args.trials < 1:
         args.parser.error("--trials must be >= 1")
-    annotated = args.lemma
-    sys_a = load_annotated(args.sys_a) if annotated else load_plain(args.sys_a)
-    sys_b = load_annotated(args.sys_b) if annotated else load_plain(args.sys_b)
-    refs = ReferenceSet(tuple(_load_docs(args.ref, annotated=annotated)))
+    sys_a, sys_b, *ref_docs = _load_docs([args.sys_a, args.sys_b, *args.ref], annotated=args.lemma)
+    refs = ReferenceSet(tuple(ref_docs))
     if args.metric == "bleu":
-        stats_a = _self.corpus_stats(sys_a, refs, ignore_case=args.ignore_case)
-        stats_b = _self.corpus_stats(sys_b, refs, ignore_case=args.ignore_case)
+        def stats(doc):
+            return _self.corpus_stats(doc, refs, ignore_case=args.ignore_case)
     else:
         mode = MatchMode.LEMMA if args.lemma else MatchMode.SURFACE
-        stats_a = [
-            (r.score.edits, r.score.denominator)
-            for r in corpus_ter_detailed(sys_a, refs, mode, ignore_case=args.ignore_case)
-        ]
-        stats_b = [
-            (r.score.edits, r.score.denominator)
-            for r in corpus_ter_detailed(sys_b, refs, mode, ignore_case=args.ignore_case)
-        ]
-    result = _self.approx_randomization(stats_a, stats_b, args.metric, args.trials, args.seed)
+        def stats(doc):
+            detailed = corpus_ter_detailed(doc, refs, mode, ignore_case=args.ignore_case)
+            return [(r.score.edits, r.score.denominator) for r in detailed]
+    result = _self.approx_randomization(
+        stats(sys_a), stats(sys_b), args.metric, args.trials, args.seed
+    )
     arrow = " ↑" if result.p_value < SIGNIFICANCE_LEVEL else ""
     print(f"metric = {result.metric}")
     print(f"score_a = {100.0 * result.score_a:.4f}")
@@ -242,10 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

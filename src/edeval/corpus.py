@@ -310,10 +310,15 @@ def load_manifest(path: str | Path) -> Manifest:
         raw = json.loads(_read_utf8(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", source=str(path)) from exc
+    if not isinstance(raw, dict):
+        raise ParseError("manifest must be a JSON object", source=str(path))
     for key, kind in (("systems", dict), ("references", list), ("baseline", str)):
         if key not in raw or not isinstance(raw[key], kind):
             raise ParseError(f"manifest needs a {kind.__name__!r}-valued {key!r} entry",
                              source=str(path))
+    paths = [*raw["systems"].values(), *raw["references"]]
+    if not all(isinstance(p, str) for p in paths):
+        raise ParseError("every system and reference path must be a string", source=str(path))
     return Manifest(dict(raw["systems"]), list(raw["references"]), raw["baseline"],
                     base_dir=path.parent)
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .corpus import Document, ReferenceSet
-from .errors import AnnotationError, DataError
+from .corpus import Document, ReferenceSet, _read_utf8
+from .errors import AnnotationError, DataError, ParseError
 from .ter import EditKind, EditScript, MatchMode, corpus_ter_detailed
 
 __all__ = [
@@ -216,11 +216,16 @@ def profile_to_dict(profile: ErrorProfile) -> dict:
 
 def profile_from_dict(raw: dict) -> ErrorProfile:
     try:
-        counts = {cat: int(raw["counts"][cat.value]) for cat in ErrorCategory}
+        counts = {cat: raw["counts"][cat.value] for cat in ErrorCategory}
         profile = ErrorProfile(str(raw["system"]), counts, dict(raw.get("by_pos", {})))
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise DataError(f"malformed profile JSON: missing {exc}") from exc
-    if "total" in raw and int(raw["total"]) != profile.total:
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"malformed profile JSON: {exc}") from exc
+    if not all(type(n) is int and n >= 0 for n in counts.values()):
+        raise DataError(f"malformed profile JSON: counts must be non-negative integers, "
+                        f"got {raw['counts']}")
+    if raw.get("total", profile.total) != profile.total:
         raise DataError(
             f"profile {profile.system!r}: stored total {raw['total']} does not match "
             f"category sum {profile.total}"
@@ -234,8 +239,10 @@ def save_profile(profile: ErrorProfile, path: str | Path) -> None:
 
 
 def load_profile(path: str | Path) -> ErrorProfile:
+    text = _read_utf8(path)
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        return profile_from_dict(json.loads(text))
     except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid profile JSON: {exc}") from exc
-    return profile_from_dict(raw)
+        raise ParseError(f"invalid profile JSON: {exc}", source=str(path)) from exc
+    except DataError as exc:
+        raise ParseError(str(exc), source=str(path)) from exc

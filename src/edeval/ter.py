@@ -16,6 +16,7 @@ that the shift search also reads its matched positions from.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -217,28 +218,21 @@ def mter(
     # reported even when the search would never reach it.
     hyp_keys = _segment_keys(hyp, mode, ignore_case, "hypothesis")
     ref_keys = [_segment_keys(ref, mode, ignore_case, "reference") for ref in refs]
-    if len(refs) == 1:
-        candidates = [(0, 0)]
-    else:
-        candidates = sorted(
-            (_edit_lower_bound(hyp_keys, keys), k) for k, keys in enumerate(ref_keys)
-        )
-    best_k = -1
-    best = None
-    for bound, k in candidates:
-        if best is not None and (bound, k) >= (best[0], best_k):
+    bounds = [(_edit_lower_bound(hyp_keys, keys), k) for k, keys in enumerate(ref_keys)]
+    best = (math.inf, -1)
+    for bound, k in sorted(bounds):
+        if (bound, k) >= best[:2]:
             break
         h_ids, r_ids = _encode(hyp_keys, ref_keys[k])
         edits, shifts, order, moved = _kernels.greedy_shift_ter(h_ids, r_ids)
-        if best is None or (edits, k) < (best[0], best_k):
-            best = (edits, shifts, order, moved, h_ids, r_ids)
-            best_k = k
-    edits, shifts, order, moved, h_ids, r_ids = best
-    ops = _build_ops(hyp, refs[best_k], h_ids, r_ids, order, moved)
+        if (edits, k) < best[:2]:
+            best = (edits, k, shifts, order, moved, h_ids, r_ids)
+    edits, k, shifts, order, moved, h_ids, r_ids = best
+    ops = _build_ops(hyp, refs[k], h_ids, r_ids, order, moved)
     script = EditScript(ops=ops, shift_count=shifts, segment_id=hyp.id, mode=mode)
     mean_len = Fraction(sum(len(r.tokens) for r in refs), len(refs))
     denominator = mean_len if mean_len > 0 else Fraction(1)
-    return TerScore(edits, denominator), script, best_k
+    return TerScore(edits, denominator), script, k
 
 
 def corpus_ter_detailed(

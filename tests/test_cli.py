@@ -230,6 +230,30 @@ def test_report_formats_and_baseline(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("data", [
+    b'{"system": "s", "counts": {"lexical": "x", "morph": 0, "reordering": 0, '
+    b'"morph_reo": 0}}',
+    b'{"system": "s", "counts": {"lexical": 1, "morph": 0, "reordering": 0, '
+    b'"morph_reo": 0}, "total": "x"}',
+    b'{"system": "s", "counts": {"lexical": 1, "morph": 0, "reordering": 0, '
+    b'"morph_reo": 0}, "total": 2}',
+    b'{"system": "s", "counts": {"lexical": -3, "morph": 0, "reordering": 0, '
+    b'"morph_reo": 0}}',
+    b'{"system": "s", "counts": {"lexical": 1}}',
+    b'["s"]',
+    b'{"system": "s"',
+    b"\xff\xfe{}",
+    b"\xef\xbb\xbf{}",
+])
+def test_report_broken_profile_exits_1_naming_the_file(tmp_path, capsys, data):
+    path = tmp_path / "broken.json"
+    path.write_bytes(data)
+    code, out, err = run_cli(["report", "--profiles", str(path), "--baseline", "s"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {path}: ")
+
+
 # -- compare ----------------------------------------------------------------------
 
 def test_compare_self_p_one_no_arrow(tmp_path, capsys):

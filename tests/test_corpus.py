@@ -315,6 +315,19 @@ def test_manifest_unequal_counts(tmp_path):
         resolve_manifest(load_manifest(manifest_path))
 
 
+@pytest.mark.parametrize("text", [
+    "5",
+    '["systems"]',
+    '{"systems": {"A": 5}, "references": ["ref.txt"], "baseline": "A"}',
+    '{"systems": {"A": "a.txt"}, "references": [["ref.txt"]], "baseline": "A"}',
+])
+def test_manifest_of_the_wrong_shape_names_the_file(tmp_path, text):
+    manifest_path = tmp_path / "m.json"
+    manifest_path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match="m.json"):
+        load_manifest(manifest_path)
+
+
 # -- input checks in the parse path -------------------------------------------
 
 ANNOTATED = "a\ta\tX\nb\tb\tX\n\nc\tc\tX\n"

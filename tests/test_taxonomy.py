@@ -265,3 +265,13 @@ def test_profile_json_total_mismatch_rejected():
     }
     with pytest.raises(DataError, match="total"):
         profile_from_dict(raw)
+
+
+@pytest.mark.parametrize("lexical", ["x", "5", 1.9, 1.5e400, [1], -3, True])
+def test_profile_json_bad_count_rejected(lexical):
+    raw = {
+        "system": "s",
+        "counts": {"lexical": lexical, "morph": 0, "reordering": 0, "morph_reo": 0},
+    }
+    with pytest.raises(DataError, match="malformed profile JSON"):
+        profile_from_dict(raw)

@@ -314,6 +314,14 @@ def test_edit_lower_bound_below_greedy_oracle(hyp_words, ref_words):
     assert 0 <= bound <= greedy_shift_ter_oracle(hyp_words, ref_words)[0]
 
 
+@given(st.lists(st.integers(0, 5), max_size=12), st.lists(st.integers(0, 5), max_size=12))
+@settings(max_examples=300)
+def test_edit_floor_is_at_least_the_length_difference(h, r):
+    # The shift search scores a candidate only while its best distance is
+    # above this floor, so _lev_bounded needs no length check of its own.
+    assert _kernels.edit_floor(h, r) >= abs(len(h) - len(r))
+
+
 def test_shift_search_stops_at_the_floor(monkeypatch):
     # Each reference token is distinct, and k >= 2 of them are overwritten
     # by copies of tokens that are kept: the no-shift distance is k, and so
