@@ -7,14 +7,18 @@ faster than numpy arrays, so the module uses no numpy.
 
 :func:`align` is the one alignment in the package: the shift search takes
 its matched positions from it, and :mod:`edeval.ter` builds every edit
-script from it.  :func:`_lev_bounded` only scores candidate shifts; both
-fill their tables with :func:`_next_row`.
+script from it.  :func:`_lev_bounded` scores candidate shifts and the
+no-shift distance D0 that orders references; both fill their tables with
+:func:`_next_row`.
 
 :func:`edit_floor`, the bag-of-words bound ``max(n, m) - |H & R|``, is a
 floor that no permutation of the hypothesis aligns below: the shift search
 stops when its distance reaches it, and a greedy step stops at the first
 candidate that reaches it, which wins the tie-break anyway.
-:func:`edeval.ter.mter` prunes references by the same bound.
+:func:`edeval.ter.mter` orders and prunes references by the shift-aware
+bound ``min(D0, L + 1)``, with D0 the no-shift distance from
+:func:`_lev_bounded` and L this floor: a result without shifts is D0,
+and one with a shift costs that shift plus a distance of at least L.
 """
 
 from array import array
@@ -86,16 +90,14 @@ def align(h, r):
 
 
 def _lev_bounded(a, b, bound):
-    """Edit distance of a vs b, early-abandoned once it cannot beat bound.
-
-    Returns the exact distance when it is < bound, otherwise a value >= bound.
-    """
+    """min(edit distance of a vs b, bound), early-abandoned once no cell
+    of a row is below bound."""
     row = list(range(len(b) + 1))
     for x in a:
         row = _next_row(row, x, b)
         if min(row) >= bound:
             return bound
-    return row[-1]
+    return min(row[-1], bound)
 
 
 def edit_floor(h, r):

@@ -294,6 +294,8 @@ class Manifest:
     base_dir: Path = field(default_factory=Path)
 
     def __post_init__(self):
+        if not self.references:
+            raise ParseError("a manifest needs at least one reference")
         if self.baseline not in self.systems:
             raise ParseError(
                 f"baseline {self.baseline!r} is not among systems {sorted(self.systems)}"
@@ -319,8 +321,11 @@ def load_manifest(path: str | Path) -> Manifest:
     paths = [*raw["systems"].values(), *raw["references"]]
     if not all(isinstance(p, str) for p in paths):
         raise ParseError("every system and reference path must be a string", source=str(path))
-    return Manifest(dict(raw["systems"]), list(raw["references"]), raw["baseline"],
-                    base_dir=path.parent)
+    try:
+        return Manifest(dict(raw["systems"]), list(raw["references"]), raw["baseline"],
+                        base_dir=path.parent)
+    except ParseError as exc:
+        raise ParseError(str(exc), source=str(path)) from exc
 
 
 def resolve_manifest(

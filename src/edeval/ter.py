@@ -7,8 +7,8 @@ which downstream error classification relies on.
 The shift search is greedy: starting from the minimum-edit alignment it
 repeatedly applies the legal block move that removes the most remaining
 edits (each move costs one edit), until no move helps or the distance
-reaches the bag-of-words floor :func:`edeval._kernels.edit_floor`, the
-bound by which :func:`mter` also prunes references.  See
+reaches the bag-of-words floor :func:`edeval._kernels.edit_floor`, from
+which :func:`mter` also derives the bound that orders its references.  See
 :mod:`edeval._kernels` for the legality constraints and tie-breaking.
 Edit scripts come from :func:`edeval._kernels.align`, the one alignment
 that the shift search also reads its matched positions from.
@@ -187,9 +187,25 @@ def ter_single(
     return mter(hyp, [ref], mode, ignore_case=ignore_case)[:2]
 
 
-# The bag-of-words bound by which mter orders and prunes references; the
-# shift search stops at the same floor.
+# The bag-of-words bound L from which mter derives its reference order;
+# the shift search stops at the same floor.
 _edit_lower_bound = _kernels.edit_floor
+
+
+def _surface_rescored(result, hyp, ref, h_ids, r_ids, ignore_case):
+    """Lemma-mode ``result`` of one pair, or the surface-mode shift search's
+    result rescored with lemma matching if that has strictly fewer edits.
+
+    The surface search's final order is a shift sequence like any other:
+    its lemma cost is the lemma distance of that order plus its shifts.
+    When lemmas are a function of surfaces, every surface match is a lemma
+    match, so the pair's lemma edits never exceed its surface edits.
+    """
+    s_ids = _encode(_segment_keys(hyp, MatchMode.SURFACE, ignore_case, "hypothesis"),
+                    _segment_keys(ref, MatchMode.SURFACE, ignore_case, "reference"))
+    _, shifts, order, moved = _kernels.greedy_shift_ter(*s_ids)
+    edits = _kernels.align([h_ids[t] for t in order], r_ids)[0] + shifts
+    return (edits, shifts, order, moved) if edits < result[0] else result
 
 
 def mter(
@@ -205,12 +221,22 @@ def mter(
     Returns the score, the edit script against the chosen reference, and
     the chosen reference index (lowest index on ties).
 
-    References are searched in ascending (lower bound, index) order, with
-    the bag-of-words bound :func:`edeval._kernels.edit_floor` that the
-    shift search also stops at; the search stops at the first reference
-    whose (bound, index) is not below the best (edits, index) found so far,
-    since neither it nor any later one can then win.  The result is
-    exactly that of scoring every reference.
+    References are searched in ascending (L2, index) order, where
+    L2 = min(D0, L + 1) bounds every shift sequence's edits from below:
+    D0 is the no-shift distance, and L the bag-of-words floor
+    :func:`edeval._kernels.edit_floor`, below which no permutation aligns,
+    so a sequence with a shift costs at least L + 1.  A queue holds each
+    reference under L until it reaches the front, and D0 is computed only
+    then, so the last reference left (the only one, for a single
+    reference) is searched without it.  The search stops once the front
+    (bound, index) is not below the best (edits, index) found so far,
+    since no queued reference can then win.  The result is exactly that
+    of scoring every reference.
+
+    In lemma mode, a pair whose edits exceed the bound held for it is
+    searched again on surfaces, and the surface result, rescored with
+    lemma matching, is taken if it has strictly fewer edits (see
+    :func:`_surface_rescored`).
     """
     if not refs:
         raise ValueError("mter needs at least one reference segment")
@@ -218,15 +244,29 @@ def mter(
     # reported even when the search would never reach it.
     hyp_keys = _segment_keys(hyp, mode, ignore_case, "hypothesis")
     ref_keys = [_segment_keys(ref, mode, ignore_case, "reference") for ref in refs]
-    bounds = [(_edit_lower_bound(hyp_keys, keys), k) for k, keys in enumerate(ref_keys)]
+    # (bound, k, ids): ids is None while the bound is L, and the interned
+    # keys of the pair once it is L2; indices are distinct, so ids is
+    # never compared.  A list, not heapq: there are few references, and
+    # loading the _heapq extension slowed even `score --metric bleu` by 1 %.
+    queue = [(_edit_lower_bound(hyp_keys, keys), k, None) for k, keys in enumerate(ref_keys)]
     best = (math.inf, -1)
-    for bound, k in sorted(bounds):
-        if (bound, k) >= best[:2]:
+    while queue:
+        entry = min(queue)
+        if entry[:2] >= best[:2]:
             break
-        h_ids, r_ids = _encode(hyp_keys, ref_keys[k])
-        edits, shifts, order, moved = _kernels.greedy_shift_ter(h_ids, r_ids)
-        if (edits, k) < best[:2]:
-            best = (edits, k, shifts, order, moved, h_ids, r_ids)
+        queue.remove(entry)
+        bound, k, ids = entry
+        if ids is None:
+            ids = _encode(hyp_keys, ref_keys[k])
+            if queue:
+                queue.append((_kernels._lev_bounded(*ids, bound + 1), k, ids))
+                continue
+        h_ids, r_ids = ids
+        result = _kernels.greedy_shift_ter(h_ids, r_ids)
+        if mode is MatchMode.LEMMA and result[0] > bound:
+            result = _surface_rescored(result, hyp, refs[k], h_ids, r_ids, ignore_case)
+        if (result[0], k) < best[:2]:
+            best = (result[0], k, *result[1:], h_ids, r_ids)
     edits, k, shifts, order, moved, h_ids, r_ids = best
     ops = _build_ops(hyp, refs[k], h_ids, r_ids, order, moved)
     script = EditScript(ops=ops, shift_count=shifts, segment_id=hyp.id, mode=mode)

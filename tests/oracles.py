@@ -103,6 +103,34 @@ def greedy_shift_ter_oracle(hyp: Sequence, ref: Sequence) -> tuple[int, int]:
     return simple_edit_distance(cur, ref) + shifts, shifts
 
 
+def exact_block_move_ter(hyp: Sequence, ref: Sequence) -> int:
+    """Least edits over every sequence of unrestricted block moves: the
+    number of moves (one edit each) plus the edit distance of the order
+    they reach.  Breadth-first over the reachable orders of the
+    hypothesis, stopping once one more move cannot beat the best total.
+    Exponential: meant for a handful of tokens."""
+    level = [tuple(hyp)]
+    seen = set(level)
+    best = simple_edit_distance(hyp, ref)
+    depth = 0
+    while level and depth + 1 < best:
+        depth += 1
+        reached = []
+        for seq in level:
+            n = len(seq)
+            for i in range(n):
+                for j in range(i + 1, n + 1):
+                    rest = seq[:i] + seq[j:]
+                    for d in range(len(rest) + 1):
+                        cand = rest[:d] + seq[i:j] + rest[d:]
+                        if cand not in seen:
+                            seen.add(cand)
+                            reached.append(cand)
+                            best = min(best, depth + simple_edit_distance(cand, ref))
+        level = reached
+    return best
+
+
 def exact_ar_p_value_ter(
     stats_a: list[tuple[int, Fraction]], stats_b: list[tuple[int, Fraction]]
 ) -> float:

@@ -328,6 +328,19 @@ def test_manifest_of_the_wrong_shape_names_the_file(tmp_path, text):
         load_manifest(manifest_path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"systems": {"A": "a.txt"}, "references": [], "baseline": "A"}', "at least one reference"),
+    ('{"systems": {"A": "a.txt"}, "references": ["r.txt"], "baseline": "B"}', "baseline 'B'"),
+])
+def test_manifest_with_no_reference_or_a_foreign_baseline_names_the_file(tmp_path, text,
+                                                                         message):
+    manifest_path = tmp_path / "m.json"
+    manifest_path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=message) as info:
+        load_manifest(manifest_path)
+    assert info.value.source == str(manifest_path)
+
+
 # -- input checks in the parse path -------------------------------------------
 
 ANNOTATED = "a\ta\tX\nb\tb\tX\n\nc\tc\tX\n"

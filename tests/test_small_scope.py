@@ -1,19 +1,28 @@
 """Exhaustive small-scope checks of the shift search and ``align``.
 
 Every pair of 0-5-token sequences over three symbols is tried, up to a
-renaming of the symbols (22 101 pairs).  Random sampling rarely hits every
+renaming of the symbols (22 101 pairs); lemma dominance is checked on
+every pair of 0-4-token sequences over four surfaces in three lemmas.  Random sampling rarely hits every
 tie between insertions, deletions and competing shifts; in a world this
 small, every such tie occurs.  The oracles in ``tests/oracles.py`` are the
-reference: plain lists, full matrices and brute-force shift enumeration.
+reference: plain lists, full matrices brute-force shift enumeration, and an exact search over unrestricted
+block moves.
 """
 
 from __future__ import annotations
+
+import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import oracles
 from edeval import _kernels
+from edeval.corpus import Segment
+from edeval.ter import MatchMode, ter_single
+
+from helpers import ann_tok
 
 SYMBOLS = 3
 
@@ -82,3 +91,46 @@ def test_shift_caps_match_oracle_exhaustively(monkeypatch, size_cap, dist_cap):
     mismatches = [(hyp, ref) for hyp, ref in small_pairs(4)
                   if kernel_result(hyp, ref) != oracles.greedy_shift_ter_oracle(hyp, ref)]
     assert mismatches == []
+
+
+def test_greedy_lies_between_the_shift_aware_bound_and_the_exact_optimum():
+    # L2 = min(D0, L + 1) bounds every shift sequence, the optimum included;
+    # greedy takes one such sequence, so it cannot beat the optimum.  Greedy
+    # is a heuristic (the exact problem is NP-hard), and in this world it
+    # misses the optimum on 229 pairs, by one edit each.
+    gaps = []
+    for hyp, ref in small_pairs(5):
+        floor = max(len(hyp), len(ref)) - sum((Counter(hyp) & Counter(ref)).values())
+        bound = min(oracles.simple_edit_distance(hyp, ref), floor + 1)
+        optimum = oracles.exact_block_move_ter(hyp, ref)
+        greedy = _kernels.greedy_shift_ter(hyp, ref)[0]
+        assert bound <= optimum <= greedy, (hyp, ref)
+        if greedy > optimum:
+            gaps.append(greedy - optimum)
+    assert gaps == [1] * 229
+
+
+LEMMA_OF = {"a1": "a", "a2": "a", "b": "b", "c": "c"}
+# Renamings that keep the lemma classes: a1 <-> a2 and b <-> c.
+RENAMINGS = [dict(zip(LEMMA_OF, image)) for image in
+             [("a2", "a1", "b", "c"), ("a1", "a2", "c", "b"), ("a2", "a1", "c", "b")]]
+
+
+def test_lemma_edits_never_exceed_surface_edits_exhaustively():
+    # Every pair of up to 4 tokens over four surfaces in three lemmas
+    # (116 281 pairs), one per orbit of the two lemma-preserving renamings:
+    # by Burnside (116 281 + 2 * 31**2 + 1) / 4 = 29 551 pairs.
+    tokens = {w: ann_tok(w, lemma) for w, lemma in LEMMA_OF.items()}
+    seqs = [s for n in range(5) for s in itertools.product(LEMMA_OF, repeat=n)]
+    segments = {s: Segment(0, tuple(tokens[w] for w in s)) for s in seqs}
+    pairs = violations = 0
+    for hyp in seqs:
+        for ref in seqs:
+            if any((tuple(f[w] for w in hyp), tuple(f[w] for w in ref)) < (hyp, ref)
+                   for f in RENAMINGS):
+                continue
+            pairs += 1
+            lemma = ter_single(segments[hyp], segments[ref], MatchMode.LEMMA)[0].edits
+            surface = ter_single(segments[hyp], segments[ref], MatchMode.SURFACE)[0].edits
+            violations += lemma > surface
+    assert (pairs, violations) == (29551, 0)

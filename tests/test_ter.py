@@ -322,6 +322,53 @@ def test_edit_floor_is_at_least_the_length_difference(h, r):
     assert _kernels.edit_floor(h, r) >= abs(len(h) - len(r))
 
 
+@given(words_st, words_st, st.data())
+@settings(max_examples=300)
+def test_lev_bounded_is_the_distance_capped_at_the_bound(a, b, data):
+    bound = data.draw(st.integers(0, len(a) + len(b) + 1))
+    assert _kernels._lev_bounded(a, b, bound) == min(simple_edit_distance(a, b), bound)
+
+
+def shift_aware_bound(h, r):
+    return min(simple_edit_distance(h, r), _edit_lower_bound(h, r) + 1)
+
+
+@given(words_st, words_st)
+@settings(max_examples=300)
+def test_shift_aware_bound_below_greedy_oracle(hyp_words, ref_words):
+    assert shift_aware_bound(hyp_words, ref_words) <= greedy_shift_ter_oracle(
+        hyp_words, ref_words)[0]
+
+
+lemma_words_st = st.lists(st.sampled_from(["a1", "a2", "b1", "b2", "c"]), max_size=7)
+
+
+@given(lemma_words_st, lemma_words_st)
+@settings(max_examples=300)
+def test_shift_aware_bound_below_lemma_edits(hyp_words, ref_words):
+    # Lemmas are the first letter of each surface.  The bound holds for the
+    # greedy search on lemma keys and for lemma-mode TER, which may take a
+    # rescored surface-mode search instead.
+    hyp_lemmas = [w[0] for w in hyp_words]
+    ref_lemmas = [w[0] for w in ref_words]
+    bound = shift_aware_bound(hyp_lemmas, ref_lemmas)
+    assert bound <= greedy_shift_ter_oracle(hyp_lemmas, ref_lemmas)[0]
+    score, _ = ter_single(ann_seg([(w, w[0], "X") for w in hyp_words]),
+                          ann_seg([(w, w[0], "X") for w in ref_words]), MatchMode.LEMMA)
+    assert bound <= score.edits
+
+
+def test_lemma_mode_takes_the_rescored_surface_search():
+    # In lemma mode a1 in place matches a different copy of lemma a, so no
+    # block with a misaligned token can move; the surface search shifts.
+    hyp = ann_seg([("b", "b", "X"), ("c", "c", "X"), ("a1", "a", "X"), ("a2", "a", "X")])
+    ref = ann_seg([("a1", "a", "X"), ("b", "b", "X"), ("a2", "a", "X"), ("c", "c", "X")])
+    lemma, script = ter_single(hyp, ref, MatchMode.LEMMA)
+    surface, _ = ter_single(hyp, ref, MatchMode.SURFACE)
+    assert lemma.edits == surface.edits == 2
+    assert recount(script) == 2 and script.shift_count == 2
+
+
 def test_shift_search_stops_at_the_floor(monkeypatch):
     # Each reference token is distinct, and k >= 2 of them are overwritten
     # by copies of tokens that are kept: the no-shift distance is k, and so
@@ -372,6 +419,28 @@ def test_mter_pruning_skips_kernel_runs(monkeypatch):
     ))
     corpus_ter_detailed(plain_doc(lines), refs)
     assert len(calls) < n_segments * n_refs // 2
+
+
+def test_mter_orders_references_by_the_shift_aware_bound(monkeypatch):
+    # Reference 1 is a reversal: its bag-of-words bound is 0, below reference
+    # 0's 1, but it needs shifts, so its shift-aware bound is 1, and index 0
+    # wins the tie.  Ordering by the bag-of-words bound alone would run the
+    # shift search on reference 1 first, and then on reference 0.
+    calls = []
+
+    def counting(h, r):
+        calls.append(1)
+        return greedy(h, r)
+
+    greedy = _kernels.greedy_shift_ter
+    monkeypatch.setattr(_kernels, "greedy_shift_ter", counting)
+    words = ["a b c d".split(), "a b c x".split(), "d c b a".split()]
+    assert [_edit_lower_bound(words[0], w) for w in words[1:]] == [1, 0]
+    hyp, refs = seg(words[0]), [seg(w) for w in words[1:]]
+    assert ter_single(hyp, refs[1])[0].edits > 1
+    calls.clear()
+    score, _, chosen = mter(hyp, refs)
+    assert (score.edits, chosen, len(calls)) == (1, 0, 1)
 
 
 # -- corpus --------------------------------------------------------------------
