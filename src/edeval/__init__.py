@@ -21,6 +21,7 @@ from .corpus import (
     ReferenceSet,
     Segment,
     Token,
+    TokenTable,
     load_annotated,
     load_manifest,
     load_plain,
@@ -62,6 +63,7 @@ __all__ = [
     "Document",
     "ReferenceSet",
     "Manifest",
+    "TokenTable",
     "parse_plain",
     "serialize_plain",
     "parse_annotated",

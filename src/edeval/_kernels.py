@@ -109,8 +109,13 @@ def edit_floor(h, r):
     greedy result (final distance plus one per shift) is never below that.
     Works on any hashable keys, ids or strings.
     """
-    common = sum((Counter(h) & Counter(r)).values())
-    return max(len(h), len(r)) - common
+    return edit_floors(h, (r,))[0]
+
+
+def edit_floors(h, refs):
+    """:func:`edit_floor` of h against each of refs, counting h once."""
+    counts = Counter(h)
+    return [max(len(h), len(r)) - sum((counts & Counter(r)).values()) for r in refs]
 
 
 def _shifted(seq, i, j, d):

@@ -14,7 +14,7 @@ Exit codes: 0 success, 1 broken input data, 2 usage errors.
 Only BLEU and resampling use numpy, so the names taken from
 :mod:`edeval.bleu` and :mod:`edeval.significance` are module attributes
 imported on first access (see :func:`__getattr__`), and the commands look
-them up on the module when they call them.
+them up in the module's namespace when they call them (see :func:`_lazy`).
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import os
 import sys
 from pathlib import Path
 
 from . import __version__
-from .corpus import ReferenceSet, load_annotated, load_plain, match_eval_subset
-from .errors import DataError
+from .corpus import ReferenceSet, TokenTable, load_annotated, load_plain, match_eval_subset
+from .errors import DataError, ShapeError
 from .report import FORMATS, build_table, render
 from .taxonomy import load_profile, profile_system, save_profile
 from .ter import MatchMode, SegmentTer, corpus_ter_detailed, ter_corpus_score
@@ -40,7 +41,6 @@ _LAZY = {
     "format_multi_bleu_line": "bleu",
     "approx_randomization": "significance",
 }
-_self = sys.modules[__name__]
 
 
 def __getattr__(name: str):
@@ -52,9 +52,25 @@ def __getattr__(name: str):
     return value
 
 
+def _lazy(name: str):
+    """The function bound to ``name`` in this module's namespace, so that a
+    wrapper set on the module is what the commands call.  ``globals()`` is
+    that namespace also when the module runs under ``runpy`` (``python -m
+    cProfile -m edeval.cli``), where ``sys.modules[__name__]`` is not."""
+    namespace = globals()
+    return namespace[name] if name in namespace else __getattr__(name)
+
+
 def _load_docs(paths, annotated: bool):
+    """Load parallel documents with one token table; ShapeError naming each
+    file and its segment count unless the counts are equal."""
     loader = load_annotated if annotated else load_plain
-    return [loader(p) for p in paths]
+    table = TokenTable()
+    docs = [loader(p, table) for p in paths]
+    if len({len(doc) for doc in docs}) > 1:
+        counts = ", ".join(f"{p}: {len(doc)}" for p, doc in zip(paths, docs))
+        raise ShapeError(f"files have unequal segment counts: {counts}")
+    return docs
 
 
 def _ter_label(lemma: bool, n_refs: int) -> str:
@@ -100,8 +116,8 @@ def cmd_score(args) -> int:
     hyps, *ref_docs = _load_docs([args.hyp, *args.ref], annotated=args.lemma)
     refs = ReferenceSet(tuple(ref_docs))
     if args.metric == "bleu":
-        score = _self.corpus_bleu(hyps, refs, ignore_case=args.ignore_case, smooth=args.smooth)
-        print(_self.format_multi_bleu_line(score))
+        score = _lazy("corpus_bleu")(hyps, refs, ignore_case=args.ignore_case, smooth=args.smooth)
+        print(_lazy("format_multi_bleu_line")(score))
         return 0
     mode = MatchMode.LEMMA if args.lemma else MatchMode.SURFACE
     detailed = corpus_ter_detailed(hyps, refs, mode, ignore_case=args.ignore_case)
@@ -147,13 +163,13 @@ def cmd_compare(args) -> int:
     refs = ReferenceSet(tuple(ref_docs))
     if args.metric == "bleu":
         def stats(doc):
-            return _self.corpus_stats(doc, refs, ignore_case=args.ignore_case)
+            return _lazy("corpus_stats")(doc, refs, ignore_case=args.ignore_case)
     else:
         mode = MatchMode.LEMMA if args.lemma else MatchMode.SURFACE
         def stats(doc):
             detailed = corpus_ter_detailed(doc, refs, mode, ignore_case=args.ignore_case)
             return [(r.score.edits, r.score.denominator) for r in detailed]
-    result = _self.approx_randomization(
+    result = _lazy("approx_randomization")(
         stats(sys_a), stats(sys_b), args.metric, args.trials, args.seed
     )
     arrow = " ↑" if result.p_value < SIGNIFICANCE_LEVEL else ""
@@ -232,6 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # OpenBLAS starts one spinning worker per core when numpy loads, which
+    # costs CPU time and memory and speeds up nothing here: resampling sums
+    # are exact integers in any order.  A value the user set still wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -31,6 +31,7 @@ __all__ = [
     "Document",
     "ReferenceSet",
     "Manifest",
+    "TokenTable",
     "parse_plain",
     "serialize_plain",
     "parse_annotated",
@@ -134,33 +135,39 @@ class ReferenceSet:
                 raise AnnotationError(f"reference document {k} is not lemma/POS annotated")
 
 
-class _Interner(dict):
-    """Maps a key to one shared value, made by ``make(key)`` on first use."""
+class TokenTable(dict):
+    """One shared ``Token`` per distinct token, for every document a caller
+    parses with it.
 
-    __slots__ = ("make",)
+    The plain parser keys it by word; a missing word maps to a new
+    ``Token(word)``.  The annotated parser keys it by whole
+    ``surface<TAB>lemma<TAB>pos`` line and adds only lines that passed
+    validation, so a broken line is parsed, and reported, wherever it
+    occurs.  A valid line holds two tabs and a word none, so one table can
+    serve both formats.
+    """
 
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
+    __slots__ = ()
 
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
+    def __missing__(self, word: str) -> Token:
+        token = self[word] = Token(word)
+        return token
 
 
-def parse_plain(text: str) -> Document:
+def parse_plain(text: str, table: TokenTable | None = None) -> Document:
     """Parse the plain format: one segment per line, whitespace-split tokens.
 
     Empty lines become empty segments; a trailing newline after the last
     line does not create one.  Consecutive separators inside a line are
-    collapsed (empty fields are dropped).  Equal words share one ``Token``.
+    collapsed (empty fields are dropped).  Equal words share one ``Token``,
+    also across the documents parsed with the same ``table``.
     """
     if text == "":
         return Document(())
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    token_of = _Interner(Token).__getitem__
+    token_of = (TokenTable() if table is None else table).__getitem__
     return Document.from_tokens(map(token_of, line.split()) for line in lines)
 
 
@@ -196,12 +203,16 @@ def _parse_token_line(line: str, line_no: int, source: str | None) -> Token:
     return Token(surface, lemma, pos)
 
 
-def parse_annotated(text: str, source: str | None = None) -> Document:
+def parse_annotated(
+    text: str, source: str | None = None, table: TokenTable | None = None
+) -> Document:
     """Parse the annotated format (``surface<TAB>lemma<TAB>pos`` per line).
 
     Exact inverse of :func:`serialize_annotated`; see the module docstring
-    for the shape of the format.  Equal lines share one ``Token``, which is
-    validated once, so an error names the first line that carries it.
+    for the shape of the format.  Equal lines share one ``Token``, also
+    across the documents parsed with the same ``table``.  Only valid lines
+    enter the table, so a broken line is reported where it first occurs in
+    this text.
     """
     if text == "":
         return Document(())
@@ -212,7 +223,7 @@ def parse_annotated(text: str, source: str | None = None) -> Document:
         text = text[:-1]
     core = text[:-1] if text.endswith("\n") else text
     token_lists: list[list[Token]] = []
-    seen: dict[str, Token] = {}
+    seen = TokenTable() if table is None else table
     line_no = 1
     for block in core.split("\n\n"):
         if block == "":
@@ -223,7 +234,7 @@ def parse_annotated(text: str, source: str | None = None) -> Document:
         tokens = []
         for j, ln in enumerate(lines):
             tok = seen.get(ln)
-            if tok is None:
+            if tok is None or tok.pos is None:   # a plain word, not a line
                 tok = seen[ln] = _parse_token_line(ln, line_no + j, source)
             tokens.append(tok)
         token_lists.append(tokens)
@@ -256,12 +267,12 @@ def _read_utf8(path: str | Path) -> str:
         ) from exc
 
 
-def load_plain(path: str | Path) -> Document:
-    return parse_plain(_read_utf8(path))
+def load_plain(path: str | Path, table: TokenTable | None = None) -> Document:
+    return parse_plain(_read_utf8(path), table)
 
 
-def load_annotated(path: str | Path) -> Document:
-    return parse_annotated(_read_utf8(path), source=str(path))
+def load_annotated(path: str | Path, table: TokenTable | None = None) -> Document:
+    return parse_annotated(_read_utf8(path), str(path), table)
 
 
 def match_eval_subset(candidate: Document, anchor_targets: Document) -> list[tuple[int, int]]:
@@ -331,10 +342,14 @@ def load_manifest(path: str | Path) -> Manifest:
 def resolve_manifest(
     manifest: Manifest, annotated: bool = False
 ) -> tuple[dict[str, Document], ReferenceSet]:
-    """Load every document a manifest names and check they are parallel."""
+    """Load every document a manifest names, with one token table, and
+    check they are parallel."""
     loader = load_annotated if annotated else load_plain
-    systems = {name: loader(manifest.base_dir / p) for name, p in manifest.systems.items()}
-    refset = ReferenceSet(tuple(loader(manifest.base_dir / p) for p in manifest.references))
+    table = TokenTable()
+    systems = {name: loader(manifest.base_dir / p, table)
+               for name, p in manifest.systems.items()}
+    refset = ReferenceSet(tuple(loader(manifest.base_dir / p, table)
+                                for p in manifest.references))
     counts = {name: len(doc) for name, doc in systems.items()}
     counts["<references>"] = len(refset)
     if len(set(counts.values())) > 1:

@@ -187,8 +187,9 @@ def ter_single(
     return mter(hyp, [ref], mode, ignore_case=ignore_case)[:2]
 
 
-# The bag-of-words bound L from which mter derives its reference order;
-# the shift search stops at the same floor.
+# The bag-of-words bound L of one pair, from which mter derives its
+# reference order (through _kernels.edit_floors, for all references at
+# once); the shift search stops at the same floor.
 _edit_lower_bound = _kernels.edit_floor
 
 
@@ -248,7 +249,8 @@ def mter(
     # keys of the pair once it is L2; indices are distinct, so ids is
     # never compared.  A list, not heapq: there are few references, and
     # loading the _heapq extension slowed even `score --metric bleu` by 1 %.
-    queue = [(_edit_lower_bound(hyp_keys, keys), k, None) for k, keys in enumerate(ref_keys)]
+    bounds = _kernels.edit_floors(hyp_keys, ref_keys)
+    queue = [(bound, k, None) for k, bound in enumerate(bounds)]
     best = (math.inf, -1)
     while queue:
         entry = min(queue)

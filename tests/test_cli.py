@@ -344,6 +344,58 @@ def test_compare_flag_errors_exit_before_reading_files(flags, tmp_path, capsys, 
     assert "missing.txt" not in err
 
 
+# -- loading -----------------------------------------------------------------------
+
+@pytest.mark.parametrize("annotated", [False, True])
+def test_load_docs_calls_the_cli_loaders_once_per_file_with_one_table(annotated, tmp_path,
+                                                                       monkeypatch):
+    import edeval.cli
+
+    name = "load_annotated" if annotated else "load_plain"
+    real = getattr(edeval.cli, name)
+    calls = []
+
+    def spy(path, table):
+        calls.append((path, table))
+        return real(path, table)
+
+    monkeypatch.setattr(edeval.cli, name, spy)
+    monkeypatch.setattr(edeval.cli, "load_plain" if annotated else "load_annotated", None)
+    text = "a\ta\tX\n" if annotated else "a\n"
+    paths = [write(tmp_path / f"f{k}", text) for k in range(3)]
+    docs = edeval.cli._load_docs(paths, annotated)
+    assert [path for path, _ in calls] == paths
+    assert all(table is calls[0][1] for _, table in calls)
+    assert docs[2].segments[0].tokens[0] is docs[0].segments[0].tokens[0]
+
+
+@pytest.mark.parametrize("argv, counts", [
+    (["score", "--metric", "ter", "--hyp", "two", "--ref", "one"], "two: 2, one: 1"),
+    (["score", "--metric", "bleu", "--hyp", "two", "--ref", "two", "one"],
+     "two: 2, two: 2, one: 1"),
+    (["compare", "--metric", "bleu", "--sys-a", "two", "--sys-b", "one", "--ref", "two"],
+     "two: 2, one: 1, two: 2"),
+    (["compare", "--metric", "ter", "--sys-a", "one", "--sys-b", "two", "--ref", "one"],
+     "one: 1, two: 2, one: 1"),
+])
+def test_unequal_segment_counts_name_each_file(argv, counts, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "one", "a b\n")
+    write(tmp_path / "two", "a b\nc\n")
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: files have unequal segment counts: {counts}\n"
+
+
+def test_analyze_unequal_segment_counts_name_each_file(tmp_path, capsys):
+    hyp, pe = make_annotated_files(tmp_path)
+    short = write(tmp_path / "short.ann", "a\ta\tX\n")
+    code, _, err = run_cli(["analyze", "--hyp", hyp, "--pe", pe, short,
+                            "--out", str(tmp_path / "p.json")], capsys)
+    assert code == 1
+    assert err == f"error: files have unequal segment counts: {hyp}: 3, {pe}: 3, {short}: 1\n"
+
+
 # -- subset -------------------------------------------------------------------------
 
 def test_subset_writes_sorted_pairs(tmp_path, capsys):
@@ -494,3 +546,39 @@ def test_commands_call_the_functions_bound_on_the_cli_module(tmp_path, capsys, m
                           "--ref", ref, "--trials", "10"], capsys)
     assert code == 0 and calls == ["corpus_bleu", "corpus_stats", "corpus_stats",
                                    "approx_randomization"]
+
+
+@pytest.mark.parametrize("command", ["score", "compare"])
+def test_commands_run_under_runpy_as_under_the_module_entry_point(command, tmp_path):
+    # python -m cProfile -m edeval.cli runs the module through runpy, in a
+    # namespace that is not sys.modules["__main__"].
+    sys_a = write(tmp_path / "a.txt", "a b c d\nd e f\n")
+    sys_b = write(tmp_path / "b.txt", "a b x d\nd f e\n")
+    ref = write(tmp_path / "ref.txt", "a b c x\nd e f\n")
+    argv = (["score", "--metric", "bleu", "--hyp", sys_a, "--ref", ref] if command == "score"
+            else ["compare", "--metric", "bleu", "--sys-a", sys_a, "--sys-b", sys_b,
+                  "--ref", ref, "--trials", "50"])
+    code = ("import runpy, sys\n"
+            f"sys.argv = ['edeval', *{argv!r}]\n"
+            "runpy.run_module('edeval.cli', run_name='__main__')\n")
+    under_runpy = run_fresh(["-c", code], tmp_path)
+    direct = run_fresh(["-m", "edeval.cli", *argv], tmp_path)
+    assert under_runpy.returncode == direct.returncode == 0, under_runpy.stderr
+    assert under_runpy.stdout == direct.stdout != ""
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_main_defaults_openblas_to_one_thread_unless_set(preset, tmp_path, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    if preset is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    code = ("import os\n"
+            "from edeval.cli import main\n"
+            "try:\n"
+            "    main(['--version'])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+    proc = run_fresh(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == (preset or "1")

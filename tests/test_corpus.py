@@ -8,6 +8,7 @@ from edeval.corpus import (
     Manifest,
     ReferenceSet,
     Token,
+    TokenTable,
     load_annotated,
     load_manifest,
     load_plain,
@@ -410,3 +411,65 @@ def test_cli_rejects_byte_order_mark_in_plain_hypothesis(metric, tmp_path, capsy
     assert code == 1
     assert out == ""
     assert f"{hyp}: line 1:" in err
+
+
+# -- one token table for the documents loaded together ------------------------
+
+def _outcome(parse, text, *args):
+    try:
+        return parse(text, *args)
+    except ParseError as exc:
+        return str(exc)
+
+
+@given(st.lists(st.lists(plain_line_st, max_size=5), max_size=4))
+def test_plain_documents_parsed_together_equal_those_parsed_alone(docs):
+    texts = [serialize_plain(plain_doc(lines)) for lines in docs]
+    table = TokenTable()
+    assert [parse_plain(t, table) for t in texts] == [parse_plain(t) for t in texts]
+
+
+# Valid lines, broken ones and plain words: each text parses,
+# or fails at the same line, alike with a shared table and alone.
+ann_line_st = st.one_of(
+    st.sampled_from(["a\ta\tX", "b\ta\tX", "a\tb\tY", "a", "a\ta", "a\t\tX", "a b\ta\tX", ""]),
+    st.builds("\t".join, st.lists(st.sampled_from(["a", "b", ""]), min_size=1, max_size=4)),
+)
+
+
+@given(st.lists(st.lists(ann_line_st, max_size=8).map("\n".join), max_size=4), st.booleans())
+@settings(max_examples=300)
+def test_annotated_texts_parsed_together_equal_those_parsed_alone(texts, plain_first):
+    table = TokenTable()
+    if plain_first:   # plain words in the table are never taken for lines
+        parse_plain("a b\n", table)
+    together = [_outcome(parse_annotated, t, f"f{k}", table) for k, t in enumerate(texts)]
+    assert together == [_outcome(parse_annotated, t, f"f{k}") for k, t in enumerate(texts)]
+
+
+def test_equal_words_and_lines_across_documents_are_one_token():
+    table = TokenTable()
+    first, second = parse_plain("a b\nb\n", table), parse_plain("c b a\n", table)
+    assert second.segments[0].tokens[2] is first.segments[0].tokens[0]
+    assert second.segments[0].tokens[1] is first.segments[1].tokens[0]
+    first = parse_annotated("a\ta\tX\nb\ta\tX\n", table=table)
+    second = parse_annotated("b\ta\tX\n\na\ta\tX\n", table=table)
+    assert second.segments[0].tokens[0] is first.segments[0].tokens[1]
+    assert second.segments[1].tokens[0] is first.segments[0].tokens[0]
+    assert parse_plain("b\n").segments[0].tokens[0] is not table["b"]
+
+
+@pytest.mark.parametrize("texts, bad, line", [
+    # the first file holds valid lines with the broken line's surface
+    (("a\ta\tX\na\tb\tY\n", "c\tc\tX\na\ta\n"), 1, 2),
+    # the broken line is in both files: the first copy is reported
+    (("c\tc\tX\n\nboom\n", "boom\n"), 0, 3),
+])
+def test_cli_names_the_file_and_line_of_a_broken_line(texts, bad, line, tmp_path, capsys):
+    paths = [tmp_path / "f0.ann", tmp_path / "f1.ann"]
+    for path, text in zip(paths, texts):
+        path.write_text(text, encoding="utf-8")
+    code = main(["analyze", "--hyp", str(paths[0]), "--pe", str(paths[1]),
+                 "--out", str(tmp_path / "p.json")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {paths[bad]}: line {line}: ")
